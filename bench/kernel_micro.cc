@@ -6,15 +6,21 @@
  * std::priority_queue, reimplemented here verbatim as LegacyEventQueue
  * so the comparison stays honest as the real kernel evolves.
  *
- * Three scenarios bracket the kernel's real workload:
+ * Four scenarios bracket the kernel's real workload:
  *   resume  — 8-byte captures (a coroutine handle), the common case for
  *             core resumes; fits the legacy std::function's SSO, so the
  *             delta is pure queue-structure cost.
  *   device  — 56-byte captures (engine/overflow-style callbacks: this,
  *             station, typed request, gate); the legacy kernel heap-
  *             allocates every one of these.
- *   far     — half the events land beyond the near wheel's horizon,
- *             exercising the overflow heap and epoch promotion.
+ *   far     — half the events land beyond the near wheel's sliding
+ *             horizon, exercising the overflow heap and the migration
+ *             of its entries into the wheel as simulated time advances.
+ *   mix     — 56-byte captures whose delays follow the log2 histogram
+ *             of schedule-ahead times measured on a closed-loop
+ *             data-structure run (kMixBuckets): mostly 1-65 ns device
+ *             latencies, with a tail of core compute bursts past the
+ *             horizon.
  *
  * The overall events/sec ratio is the PR-gating number (>= 2x).
  */
@@ -24,6 +30,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <queue>
 #include <vector>
 
@@ -150,8 +157,56 @@ constexpr unsigned kDevices = 1024;
  *  pipelined DRAM, row miss); all within the near wheel's horizon. */
 constexpr Tick kNearDeltas[] = {400, 1000, 1600, 2800, 12000};
 
-/** Beyond the 2^16-tick near horizon: overflow-heap territory. */
+/** Beyond the near wheel's horizon: overflow-heap territory. */
 constexpr Tick kFarDelta = 300000;
+static_assert(kFarDelta > sim::EventQueue::kHorizon);
+
+/** One bucket of the measured schedule-ahead histogram: @p share of
+ *  all schedules land in [lo, hi] ticks ahead of now. */
+struct MixBucket
+{
+    double share;
+    Tick lo, hi;
+};
+
+/** Schedule-ahead delays of a closed-loop run over the nine Table 6
+ *  structures and the Fig. 10 lock microbenchmark, as log2 ps buckets.
+ *  The last bucket's upper bound (524 ns) is a choice, not a measure. */
+constexpr MixBucket kMixBuckets[] = {
+    {0.05, 0, 0},                   // same tick
+    {0.07, 1, 1 << 10},             // <= 1 ns
+    {0.23, (1 << 10) + 1, 1 << 11}, // 1-2 ns
+    {0.07, (1 << 11) + 1, 1 << 13}, // 2-8 ns
+    {0.13, (1 << 13) + 1, 1 << 14}, // 8-16 ns
+    {0.15, (1 << 14) + 1, 1 << 15}, // 16-33 ns
+    {0.21, (1 << 15) + 1, 1 << 16}, // 33-65 ns
+    {0.06, (1 << 16) + 1, 1 << 17}, // 65-131 ns
+    {0.03, (1 << 17) + 1, 1 << 19}, // > 131 ns
+};
+
+/** Delays drawn from kMixBuckets by a fixed LCG, cycled by the mix
+ *  scenario (a power of two, so the cursor wraps with a mask). */
+constexpr std::size_t kMixTable = 4096;
+
+std::vector<Tick>
+mixDelays()
+{
+    std::vector<Tick> delays;
+    delays.reserve(kMixTable);
+    std::uint64_t lcg = 7;
+    auto next = [&lcg] {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return lcg >> 11;
+    };
+    while (delays.size() < kMixTable) {
+        double u = static_cast<double>(next()) / 0x1p53;
+        const MixBucket *b = std::begin(kMixBuckets);
+        for (; b + 1 != std::end(kMixBuckets) && u >= b->share; ++b)
+            u -= b->share;
+        delays.push_back(b->lo + next() % (b->hi - b->lo + 1));
+    }
+    return delays;
+}
 
 template <typename Q, typename Seed>
 ScenarioResult
@@ -215,6 +270,42 @@ runFar(std::uint64_t events)
     });
 }
 
+/** State shared by every mix-scenario event: the delay cursor. */
+template <typename Q>
+struct MixState
+{
+    Q *q;
+    std::uint64_t *remaining;
+    const Tick *delays;
+    std::size_t cursor;
+};
+
+template <typename Q>
+void
+mixEvent(MixState<Q> *s, DevicePayload payload)
+{
+    if (*s->remaining == 0)
+        return;
+    --*s->remaining;
+    payload.words[0] += payload.words[1] ^ s->q->now();
+    const Tick delta = s->delays[s->cursor++ & (kMixTable - 1)];
+    s->q->scheduleIn(delta, [s, payload] { mixEvent(s, payload); });
+}
+
+template <typename Q>
+ScenarioResult
+runMix(std::uint64_t events)
+{
+    static const std::vector<Tick> delays = mixDelays();
+    MixState<Q> state{nullptr, nullptr, delays.data(), 0};
+    return runScenario<Q>(events, [&](Q &q, std::uint64_t &remaining) {
+        state.q = &q;
+        state.remaining = &remaining;
+        for (unsigned i = 0; i < kDevices; ++i)
+            mixEvent(&state, DevicePayload{{i, i + 1, i + 2, i + 3}});
+    });
+}
+
 } // namespace
 
 int
@@ -237,6 +328,8 @@ main(int argc, char **argv)
          runDevice<sim::EventQueue>},
         {"far (overflow heap)", runFar<LegacyEventQueue>,
          runFar<sim::EventQueue>},
+        {"mix (measured delays)", runMix<LegacyEventQueue>,
+         runMix<sim::EventQueue>},
     };
 
     harness::TablePrinter table(

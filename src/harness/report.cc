@@ -101,9 +101,13 @@ BenchReport::writeJson() const
     if (!f)
         SYNCRON_FATAL("cannot write --json file '" << opts_.json << "'");
 
-    std::uint64_t events = 0;
-    for (const Record &r : records_)
+    std::uint64_t events = 0, heapPushes = 0, windows = 0, envelopes = 0;
+    for (const Record &r : records_) {
         events += r.out.hostEvents;
+        heapPushes += r.out.hostHeapPushes;
+        windows += r.out.hostWindows;
+        envelopes += r.out.hostEnvelopes;
+    }
     const double wallSec = static_cast<double>(wallNs_) * 1e-9;
 
     JsonWriter j(f);
@@ -128,6 +132,9 @@ BenchReport::writeJson() const
         .field("eventsPerSec",
                wallSec > 0.0 ? static_cast<double>(events) / wallSec
                              : 0.0)
+        .field("heapPushes", heapPushes)
+        .field("windows", windows)
+        .field("envelopes", envelopes)
         .endObject();
     j.key("configs");
     j.beginArray();
@@ -140,6 +147,9 @@ BenchReport::writeJson() const
         j.field("hostMs", static_cast<double>(r.out.hostNs) * 1e-6);
         j.field("events", r.out.hostEvents);
         j.field("eventsPerSec", r.out.hostEventsPerSec());
+        j.field("heapPushes", r.out.hostHeapPushes);
+        j.field("windows", r.out.hostWindows);
+        j.field("envelopes", r.out.hostEnvelopes);
         if (r.out.totalReqs > 0)
             j.field("overflowFrac", r.out.overflowFrac());
         if (r.out.offeredOps > 0) {

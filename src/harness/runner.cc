@@ -415,6 +415,9 @@ void
 finishOutput(RunOutput &out, NdpSystem &sys)
 {
     out.hostEvents = sys.machine().executedEvents();
+    out.hostHeapPushes = sys.machine().heapPushes();
+    out.hostWindows = sys.kernelWindows();
+    out.hostEnvelopes = sys.machine().envelopes();
     out.stats = sys.stats();
     out.energy = computeEnergy(sys.stats(), sys.config());
     if (engine::SynCronBackend *eng = sys.syncronBackend()) {

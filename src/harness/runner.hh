@@ -165,6 +165,10 @@ struct RunOutput
     // -- Host-side perf accounting (the simulator's own speed)
     std::uint64_t hostEvents = 0; ///< kernel events executed by the run
     std::uint64_t hostNs = 0;     ///< host wall-clock of the run
+    // Deterministic kernel work counters (exact, noise-free).
+    std::uint64_t hostHeapPushes = 0; ///< schedules past the wheel horizon
+    std::uint64_t hostWindows = 0;    ///< conservative-PDES windows
+    std::uint64_t hostEnvelopes = 0;  ///< mailbox envelopes delivered
 
     /** Fig. 11 metric. */
     double opsPerMs() const;

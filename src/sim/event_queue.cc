@@ -20,7 +20,7 @@ maskFrom(unsigned b)
 } // namespace
 
 EventQueue::EventQueue()
-    : slots_(kWheelSlots), bitsL0_(kWheelSlots / 64, 0)
+    : tails_(kWheelSlots), bitsL0_(kWheelSlots / 64, 0)
 {
     pool_.reserve(256);
     heap_.reserve(64);
@@ -31,20 +31,16 @@ EventQueue::EventQueue()
 // --------------------------------------------------------------------
 
 std::uint32_t
-EventQueue::allocNode(Tick when, Callback cb)
+EventQueue::allocNode(Callback &&cb)
 {
-    std::uint32_t idx;
     if (freeHead_ != kNilIdx) {
-        idx = freeHead_;
+        const std::uint32_t idx = freeHead_;
         freeHead_ = pool_[idx].next;
         pool_[idx].cb = std::move(cb);
-    } else {
-        idx = static_cast<std::uint32_t>(pool_.size());
-        pool_.push_back(Event{std::move(cb), 0, 0, kNilIdx});
+        return idx;
     }
-    pool_[idx].when = when;
-    pool_[idx].next = kNilIdx;
-    return idx;
+    pool_.push_back(Event{std::move(cb), kNilIdx});
+    return static_cast<std::uint32_t>(pool_.size() - 1);
 }
 
 void
@@ -57,6 +53,12 @@ EventQueue::freeNode(std::uint32_t idx)
 // --------------------------------------------------------------------
 // Near wheel
 // --------------------------------------------------------------------
+
+bool
+EventQueue::slotOccupied(std::size_t slot) const
+{
+    return (bitsL0_[slot >> 6] >> (slot & 63)) & 1;
+}
 
 void
 EventQueue::markSlot(std::size_t slot)
@@ -80,40 +82,37 @@ EventQueue::clearSlot(std::size_t slot)
 }
 
 void
-EventQueue::pushSlot(std::uint32_t idx)
+EventQueue::pushSlot(std::uint32_t idx, Tick when)
 {
-    const std::size_t slot =
-        static_cast<std::size_t>(pool_[idx].when & kSlotMask);
-    Slot &s = slots_[slot];
-    if (s.head == kNilIdx) {
-        s.head = s.tail = idx;
-        markSlot(slot);
+    const std::size_t slot = static_cast<std::size_t>(when & kSlotMask);
+    std::uint32_t &tail = tails_[slot];
+    if (slotOccupied(slot)) {
+        pool_[idx].next = pool_[tail].next;
+        pool_[tail].next = idx;
     } else {
-        pool_[s.tail].next = idx;
-        s.tail = idx;
+        pool_[idx].next = idx;
+        markSlot(slot);
     }
+    tail = idx;
     ++wheelCount_;
 }
 
 std::uint32_t
 EventQueue::popSlot(std::size_t slot)
 {
-    Slot &s = slots_[slot];
-    const std::uint32_t idx = s.head;
-    s.head = pool_[idx].next;
-    if (s.head == kNilIdx) {
-        s.tail = kNilIdx;
+    const std::uint32_t tail = tails_[slot];
+    const std::uint32_t head = pool_[tail].next;
+    if (head == tail)
         clearSlot(slot);
-    }
+    else
+        pool_[tail].next = pool_[head].next;
     --wheelCount_;
-    return idx;
+    return head;
 }
 
 std::size_t
 EventQueue::nextSlotFrom(std::size_t from) const
 {
-    if (from >= kWheelSlots)
-        return kWheelSlots;
     std::size_t word = from >> 6;
     std::uint64_t w = bitsL0_[word] & maskFrom(from & 63);
     if (w == 0) {
@@ -137,24 +136,22 @@ EventQueue::nextSlotFrom(std::size_t from) const
 }
 
 // --------------------------------------------------------------------
-// Overflow heap and epoch promotion
+// Sliding horizon
 // --------------------------------------------------------------------
 
 void
-EventQueue::promoteNextEpoch()
+EventQueue::pullHeap()
 {
-    SYNCRON_ASSERT(wheelCount_ == 0 && !heap_.empty(),
-                   "promotion with events still in the wheel");
-    epoch_ = heap_.front().when >> kWheelBits;
     // Heap pops come out ordered by (when, seq), so same-tick events
-    // append to their slot in seq order — FIFO is preserved, and any
-    // event scheduled after this promotion has a larger seq and lands
-    // behind them.
-    while (!heap_.empty() && (heap_.front().when >> kWheelBits) == epoch_) {
+    // append to their slot in schedule order. No event for these ticks
+    // can be in the wheel yet: until now_ advanced, they lay at or past
+    // the horizon, where schedule() sends everything to the heap.
+    const Tick limit = now_ + kHorizon;
+    while (!heap_.empty() && heap_.front().when < limit) {
         std::pop_heap(heap_.begin(), heap_.end());
         const HeapEntry e = heap_.back();
         heap_.pop_back();
-        pushSlot(e.idx);
+        pushSlot(e.idx, e.when);
     }
 }
 
@@ -162,16 +159,14 @@ Tick
 EventQueue::nextEventTime() const
 {
     if (wheelCount_ > 0) {
-        // All wheel events live in epoch_, which now_ has entered (or
-        // not reached yet, right after construction / a promotion).
-        const std::size_t from =
-            (now_ >> kWheelBits) == epoch_
-                ? static_cast<std::size_t>(now_ & kSlotMask)
-                : 0;
-        const std::size_t slot = nextSlotFrom(from);
-        SYNCRON_ASSERT(slot < kWheelSlots,
-                       "wheel count/bitmap disagree");
-        return (Tick{epoch_} << kWheelBits) + slot;
+        // The wheel holds only ticks in [now_, now_ + kHorizon), and
+        // every heap entry lies past them; scan circularly from now_.
+        const std::size_t base = static_cast<std::size_t>(now_ & kSlotMask);
+        std::size_t slot = nextSlotFrom(base);
+        if (slot == kWheelSlots)
+            slot = nextSlotFrom(0);
+        SYNCRON_ASSERT(slot < kWheelSlots, "wheel count/bitmap disagree");
+        return now_ + ((Tick{slot} - base) & kSlotMask);
     }
     if (!heap_.empty())
         return heap_.front().when;
@@ -181,11 +176,13 @@ EventQueue::nextEventTime() const
 void
 EventQueue::popAndRun(Tick when)
 {
-    if (wheelCount_ == 0)
-        promoteNextEpoch();
+    if (when != now_) {
+        now_ = when;
+        if (!heap_.empty() && heap_.front().when < now_ + kHorizon)
+            pullHeap();
+    }
     const std::uint32_t idx =
         popSlot(static_cast<std::size_t>(when & kSlotMask));
-    now_ = when;
     --pending_;
     ++executed_;
     // Move the callback out and recycle the node before invoking it, so
@@ -205,14 +202,11 @@ EventQueue::schedule(Tick when, Callback cb)
     SYNCRON_ASSERT(when >= now_,
                    "scheduling into the past: when=" << when
                        << " now=" << now_);
-    const std::uint32_t idx = allocNode(when, std::move(cb));
-    pool_[idx].seq = nextSeq_++;
-    if ((when >> kWheelBits) == epoch_) {
-        pushSlot(idx);
+    const std::uint32_t idx = allocNode(std::move(cb));
+    if (when - now_ < kHorizon) {
+        pushSlot(idx, when);
     } else {
-        // Whenever user code runs, now_ is inside epoch_, so when >=
-        // now_ puts later epochs (never earlier ones) in the heap.
-        heap_.push_back(HeapEntry{when, pool_[idx].seq, idx});
+        heap_.push_back(HeapEntry{when, heapPushes_++, idx});
         std::push_heap(heap_.begin(), heap_.end());
     }
     ++pending_;

@@ -11,23 +11,23 @@
  * Events at the same tick execute in scheduling order (FIFO), which makes
  * every simulation deterministic and reproducible.
  *
- * Implementation: a hierarchical timer — a near wheel at 1-tick
- * granularity plus an overflow min-heap for far-future events — backed
- * by a free-list node pool, so schedule()/pop are O(1) for the short
- * link/DRAM/SE latencies that dominate and never allocate in steady
- * state. Callbacks are stored inline (common/inplace_callback.hh), so
- * scheduling a coroutine resume or a device callback performs zero heap
- * allocations.
+ * Implementation: a near timing wheel at 1-tick granularity plus an
+ * overflow min-heap for far-future events, backed by a free-list node
+ * pool, so schedule()/pop are O(1) for the short crossbar/link/SE/DRAM
+ * latencies that dominate and never allocate in steady state. Callbacks
+ * are stored inline (common/inplace_callback.hh), so scheduling a
+ * coroutine resume or a device callback performs zero heap allocations.
  *
- * Wheel layout: simulated time is divided into epochs of 2^kWheelBits
- * ticks. The wheel holds exactly the pending events of the current
- * epoch (slot = when mod 2^kWheelBits, one FIFO list per slot, with a
- * three-level bitmap for O(1) next-slot scans); all later events wait
- * in the overflow heap, ordered by (when, seq). When the current epoch
- * drains, the queue jumps to the epoch of the heap's minimum and
- * promotes that epoch's events into the wheel in (when, seq) order —
- * same-tick FIFO survives promotion because heap order extends the
- * slot-append order (see runOne()).
+ * Sliding horizon: the wheel always covers the kHorizon ticks
+ * [now, now + kHorizon). An event inside that window goes straight into
+ * slot `when mod kHorizon` (one FIFO list per slot, with a three-level
+ * bitmap for O(1) next-slot scans); only events at or past
+ * now + kHorizon wait in the overflow heap, ordered by (when, seq).
+ * Whenever now advances, every heap entry that the window now reaches
+ * moves into the wheel in (when, seq) order, before the next callback
+ * runs. Same-tick FIFO holds by construction: a heap entry for tick T
+ * was scheduled before now + kHorizon passed T, so it precedes every
+ * event later inserted into T's slot directly.
  */
 
 #ifndef SYNCRON_SIM_EVENT_QUEUE_HH
@@ -56,6 +56,14 @@ class EventQueue
      */
     static constexpr std::size_t kCallbackBytes = 64;
     using Callback = common::InplaceCallback<kCallbackBytes>;
+
+    /** Width of the near wheel's sliding window: an event scheduled
+     *  less than kHorizon ticks ahead of now() goes straight into its
+     *  wheel slot; later ones take the overflow heap. 2^17 ticks
+     *  (131 ns) covers the common device latencies (core cycle 0.4 ns,
+     *  SPU cycle 1 ns, links 40 ns, DRAM tens of ns) and most core
+     *  compute bursts. */
+    static constexpr Tick kHorizon = Tick{1} << 17;
 
     EventQueue();
     EventQueue(const EventQueue &) = delete;
@@ -88,9 +96,13 @@ class EventQueue
     /** Host-side count of events executed so far (perf accounting). */
     std::uint64_t executed() const { return executed_; }
 
+    /** Host-side count of events scheduled at or past the horizon, i.e.
+     *  through the overflow heap (perf accounting). */
+    std::uint64_t heapPushes() const { return heapPushes_; }
+
     /**
      * Tick of the earliest pending event, or kTickNever when empty.
-     * Pure (performs no epoch promotion), so a sharded coordinator can
+     * Pure (moves nothing out of the heap), so a sharded coordinator can
      * poll every shard's horizon between bounded run(until) windows
      * without perturbing queue state.
      */
@@ -98,36 +110,25 @@ class EventQueue
 
   private:
     // -- Geometry ------------------------------------------------------
-    /** log2 of the near-wheel slot count: one epoch = 65536 ticks
-     *  (65.5 ns), which covers the common device latencies (core cycle
-     *  0.4 ns, SPU cycle 1 ns, links 40 ns, DRAM tens of ns). */
-    static constexpr unsigned kWheelBits = 16;
-    static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
-    static constexpr Tick kSlotMask = Tick{kWheelSlots - 1};
+    static constexpr std::size_t kWheelSlots =
+        static_cast<std::size_t>(kHorizon);
+    static constexpr Tick kSlotMask = kHorizon - 1;
 
     static constexpr std::uint32_t kNilIdx = ~std::uint32_t{0};
 
-    /** Pooled event node; FIFO-chained per wheel slot via `next`. */
+    /** Pooled event node. In the wheel, `next` links a slot's circular
+     *  FIFO list; on the free list, the next free node. */
     struct Event
     {
         Callback cb;
-        Tick when = 0;
-        std::uint64_t seq = 0; ///< tie-breaker: FIFO among same ticks
         std::uint32_t next = kNilIdx;
-    };
-
-    /** One near-wheel slot: intrusive FIFO list of pool indices. */
-    struct Slot
-    {
-        std::uint32_t head = kNilIdx;
-        std::uint32_t tail = kNilIdx;
     };
 
     /** Overflow-heap entry (min-heap on (when, seq)). */
     struct HeapEntry
     {
         Tick when;
-        std::uint64_t seq;
+        std::uint64_t seq; ///< tie-breaker: FIFO among same ticks
         std::uint32_t idx; ///< pool index
 
         bool
@@ -141,45 +142,49 @@ class EventQueue
     };
 
     // -- Pool ----------------------------------------------------------
-    std::uint32_t allocNode(Tick when, Callback cb);
+    std::uint32_t allocNode(Callback &&cb);
     void freeNode(std::uint32_t idx);
 
     // -- Wheel ---------------------------------------------------------
-    void pushSlot(std::uint32_t idx);
+    void pushSlot(std::uint32_t idx, Tick when);
     std::uint32_t popSlot(std::size_t slot);
     /** First non-empty slot index >= @p from, or kWheelSlots. */
     std::size_t nextSlotFrom(std::size_t from) const;
+    bool slotOccupied(std::size_t slot) const;
     void markSlot(std::size_t slot);
     void clearSlot(std::size_t slot);
 
-    /** Jumps to the overflow heap's first epoch and promotes its events
-     *  into the (drained) wheel. Precondition: wheel empty, heap not. */
-    void promoteNextEpoch();
+    /** Moves every heap entry inside [now_, now_ + kHorizon) into the
+     *  wheel, in (when, seq) order. Called whenever now_ advances and
+     *  the heap minimum falls inside that window. */
+    void pullHeap();
 
-    /** Tick of the next pending event, or kTickNever. Pure: performs no
-     *  promotion, so stopping early (run(until)) never strands state. */
+    /** Tick of the next pending event, or kTickNever. */
     Tick nextEventTime() const;
 
-    /** Pops and runs the event at @p when (the nextEventTime()). */
+    /** Advances to @p when (the nextEventTime()), pops and runs it. */
     void popAndRun(Tick when);
 
     std::vector<Event> pool_;
     std::uint32_t freeHead_ = kNilIdx;
 
-    std::vector<Slot> slots_;
-    /** Three-level occupancy bitmap over slots_ (64^3 >= 2^16). */
+    /** Per-slot tail of a circular FIFO list (tail->next is the head);
+     *  meaningful only where the bitmap marks the slot occupied. */
+    std::vector<std::uint32_t> tails_;
+    static_assert(kWheelSlots * sizeof(std::uint32_t) <= 512 * 1024,
+                  "wheel slot storage over its 512 KiB budget");
+    /** Three-level occupancy bitmap over tails_ (64^3 >= 2^17). */
     std::vector<std::uint64_t> bitsL0_;          ///< 1 bit per slot
-    std::array<std::uint64_t, 16> bitsL1_{};     ///< 1 bit per L0 word
+    std::array<std::uint64_t, kWheelSlots / 4096> bitsL1_{}; ///< per L0 word
     std::uint64_t bitsL2_ = 0;                   ///< 1 bit per L1 word
 
-    std::vector<HeapEntry> heap_; ///< far-future events (later epochs)
+    std::vector<HeapEntry> heap_; ///< events at or past now_ + kHorizon
 
     Tick now_ = 0;
-    std::uint64_t epoch_ = 0; ///< epoch currently mapped onto the wheel
     std::size_t wheelCount_ = 0;
     std::size_t pending_ = 0;
-    std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t heapPushes_ = 0; ///< also the heap's FIFO sequence
 };
 
 } // namespace syncron::sim

@@ -96,6 +96,15 @@ Machine::executedEvents() const
     return total;
 }
 
+std::uint64_t
+Machine::heapPushes() const
+{
+    std::uint64_t total = 0;
+    for (const auto &s : shards_)
+        total += s->eq.heapPushes();
+    return total;
+}
+
 std::size_t
 Machine::pendingEvents() const
 {
@@ -244,7 +253,7 @@ Machine::memoryAccessDetached(Tick start, UnitId from, Addr addr,
 }
 
 std::uint32_t
-Machine::allocInflight(Shard &shard, Envelope env)
+Machine::allocInflight(Shard &shard, Envelope &&env)
 {
     if (!shard.inflightFree.empty()) {
         const std::uint32_t idx = shard.inflightFree.back();
@@ -296,26 +305,31 @@ Machine::drainMailboxes()
     // Gather every shard's outbox, order by (arrival, source unit,
     // per-unit sequence) — a total order independent of the shard
     // count — and schedule one delivery event per envelope. Runs only
-    // at window barriers, so touching every queue is safe.
-    std::vector<Envelope> batch;
+    // at window barriers, so touching every queue is safe. The gather
+    // buffer and the outboxes trade storage by swapping, so neither
+    // gives its capacity back between windows.
+    std::vector<Envelope> &batch = drainBuf_;
     for (auto &s : shards_) {
-        if (batch.empty())
-            batch = std::move(s->outbox);
-        else
+        if (batch.empty()) {
+            batch.swap(s->outbox);
+        } else {
             for (auto &env : s->outbox)
                 batch.push_back(std::move(env));
-        s->outbox.clear();
+            s->outbox.clear();
+        }
     }
     if (batch.empty())
         return;
-    std::sort(batch.begin(), batch.end(),
-              [](const Envelope &a, const Envelope &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.srcUnit != b.srcUnit)
-                      return a.srcUnit < b.srcUnit;
-                  return a.seq < b.seq;
-              });
+    const auto before = [](const Envelope &a, const Envelope &b) {
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.srcUnit != b.srcUnit)
+            return a.srcUnit < b.srcUnit;
+        return a.seq < b.seq;
+    };
+    if (!std::is_sorted(batch.begin(), batch.end(), before))
+        std::sort(batch.begin(), batch.end(), before);
+    envelopes_ += batch.size();
     for (auto &env : batch) {
         const unsigned destShard = shardOf(env.to);
         Shard &sh = *shards_[destShard];
@@ -328,6 +342,7 @@ Machine::drainMailboxes()
             deliverEnvelope(destShard, idx);
         });
     }
+    batch.clear();
 }
 
 } // namespace syncron

@@ -117,6 +117,14 @@ class Machine : public sim::ShardedKernel::Client
     /** Sum of executed events across all shard queues (host perf). */
     std::uint64_t executedEvents() const;
 
+    /** Sum of overflow-heap schedules across all shard queues (host
+     *  perf; see sim::EventQueue::heapPushes()). */
+    std::uint64_t heapPushes() const;
+
+    /** Mailbox envelopes delivered into destination queues so far
+     *  (host perf; independent of the shard count). */
+    std::uint64_t envelopes() const { return envelopes_; }
+
     /** Sum of pending events across all shard queues + mailboxes. */
     std::size_t pendingEvents() const;
 
@@ -231,7 +239,7 @@ class Machine : public sim::ShardedKernel::Client
         std::vector<std::uint32_t> memPendingFree;
     };
 
-    std::uint32_t allocInflight(Shard &shard, Envelope env);
+    std::uint32_t allocInflight(Shard &shard, Envelope &&env);
     void deliverEnvelope(unsigned shard, std::uint32_t idx);
     std::uint32_t parkMemCallback(Shard &shard, Callback cb);
     void completeMemOp(UnitId requester, std::uint32_t idx);
@@ -246,6 +254,9 @@ class Machine : public sim::ShardedKernel::Client
     /// Next envelope sequence number per source unit (only the owning
     /// shard's thread touches a given entry).
     std::vector<std::uint64_t> unitSeq_;
+    /// drainMailboxes()' gather buffer; empty between barriers.
+    std::vector<Envelope> drainBuf_;
+    std::uint64_t envelopes_ = 0;
     mem::AddressSpace addrSpace_;
     std::vector<std::unique_ptr<net::Crossbar>> xbars_;
     std::vector<std::unique_ptr<mem::Dram>> drams_;

@@ -166,8 +166,9 @@ NdpSystem::run()
     const SystemConfig &cfg = machine_->config();
     sim::ShardedKernel kernel(machine_->shardQueues(),
                               machine_->lookahead(), *machine_);
+    kernel.run(cfg.crashAtTick != 0 ? cfg.crashAtTick : kTickNever);
+    kernelWindows_ = kernel.windows();
     if (cfg.crashAtTick != 0) {
-        kernel.run(cfg.crashAtTick);
         bool pending = false;
         for (const sim::Process &p : processes_) {
             if (!p.done()) {
@@ -187,8 +188,6 @@ NdpSystem::run()
         }
         // The run finished before the crash tick; fall through to the
         // normal end-of-run path.
-    } else {
-        kernel.run();
     }
     for (const sim::Process &p : processes_) {
         if (!p.done()) {

@@ -112,6 +112,10 @@ class NdpSystem
     /** True when the last run() ended at the injected crash. */
     bool crashed() const { return machine_->crashed(); }
 
+    /** Conservative-PDES windows the last run() executed (host perf;
+     *  see sim::ShardedKernel::windows()). */
+    std::uint64_t kernelWindows() const { return kernelWindows_; }
+
     /**
      * The synchronization-operation capture installed when
      * SystemConfig::tracePath or ::traceStream is set; nullptr when
@@ -171,6 +175,7 @@ class NdpSystem
     /// Declared last: coroutine frames are destroyed before the api and
     /// backend they reference (crash teardown unwinds guards mid-op).
     std::vector<sim::Process> processes_;
+    std::uint64_t kernelWindows_ = 0;
 };
 
 } // namespace syncron

@@ -1,17 +1,20 @@
 /**
  * @file
  * Tests for the timing-wheel event queue: same-tick FIFO determinism,
- * wheel/overflow-heap promotion at far-future horizons, run(until)
- * boundary semantics, allocation-freedom of steady-state scheduling
+ * the sliding horizon's wheel/overflow-heap edges (including a
+ * differential test against a (when, seq) sort), run(until) boundary
+ * semantics, allocation-freedom of steady-state scheduling
  * (via a counting global operator new), and serial-vs-parallel grid
  * determinism.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include "harness/runner.hh"
 #include "sim/event_queue.hh"
 #include "sim/process.hh"
+#include "sim/sharded_kernel.hh"
+#include "system/machine.hh"
 
 // -- Counting allocator ------------------------------------------------
 // Counts every global allocation in this test binary; the steady-state
@@ -87,9 +92,9 @@ void operator delete[](void *p, const std::nothrow_t &) noexcept
 namespace syncron::sim {
 namespace {
 
-// The wheel covers 2^16 ticks; anything further sits in the overflow
-// heap until its epoch is promoted.
-constexpr Tick kHorizon = Tick{1} << 16;
+// The wheel covers [now, now + kHorizon); anything further sits in the
+// overflow heap until now advances far enough to pull it into the wheel.
+constexpr Tick kHorizon = EventQueue::kHorizon;
 
 TEST(TimingWheel, SameTickFifoAcrossManyEvents)
 {
@@ -104,15 +109,15 @@ TEST(TimingWheel, SameTickFifoAcrossManyEvents)
     EXPECT_EQ(eq.now(), 5000u);
 }
 
-TEST(TimingWheel, SameTickFifoSurvivesHeapPromotion)
+TEST(TimingWheel, SameTickFifoSurvivesHeapMigration)
 {
     EventQueue eq;
-    const Tick far = 10 * kHorizon + 123; // several epochs out
+    const Tick far = 10 * kHorizon + 123; // several horizons out
     std::vector<int> order;
 
     // 1 and 2 are scheduled while `far` is beyond the wheel horizon
     // (overflow heap); 3 is scheduled at the same tick from a callback
-    // running after promotion (directly into the wheel).
+    // running after migration (directly into the wheel).
     eq.schedule(far, [&] {
         order.push_back(1);
         eq.schedule(far, [&] { order.push_back(3); });
@@ -123,7 +128,7 @@ TEST(TimingWheel, SameTickFifoSurvivesHeapPromotion)
     EXPECT_EQ(eq.now(), far);
 }
 
-TEST(TimingWheel, OrderHoldsAcrossEpochBoundaries)
+TEST(TimingWheel, OrderHoldsAcrossHorizonBoundaries)
 {
     EventQueue eq;
     std::vector<Tick> fired;
@@ -141,7 +146,7 @@ TEST(TimingWheel, OrderHoldsAcrossEpochBoundaries)
 
 TEST(TimingWheel, RandomizedOrderMatchesWhenSeqSort)
 {
-    // Deterministic LCG spray over several epochs; execution order must
+    // Deterministic LCG spray over several horizons; execution order must
     // equal (when, schedule-order) lexicographic order.
     EventQueue eq;
     std::uint64_t lcg = 12345;
@@ -188,7 +193,7 @@ TEST(TimingWheel, RunUntilBoundarySemantics)
     EXPECT_EQ(eq.now(), 20u);
     EXPECT_EQ(eq.pending(), 2u);
 
-    // Stopping early must not disturb later scheduling or promotion:
+    // Stopping early must not disturb later scheduling or migration:
     // a fresh event between now and the far event still runs first.
     eq.schedule(50, [&] { ++count; });
     EXPECT_EQ(eq.run(2 * kHorizon), 50u);
@@ -198,12 +203,12 @@ TEST(TimingWheel, RunUntilBoundarySemantics)
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(TimingWheel, RunUntilStopsExactlyAtEpochEdges)
+TEST(TimingWheel, RunUntilStopsExactlyAtHorizonEdges)
 {
     // The sharded coordinator drives run(until) with window limits that
-    // routinely land on (or next to) the 2^16-tick epoch boundary; the
-    // wheel must stop exactly there, neither executing the next epoch's
-    // events nor promoting them prematurely.
+    // routinely land on (or next to) a multiple of the horizon; the
+    // wheel must stop exactly there, neither executing later events nor
+    // pulling them out of the heap prematurely.
     EventQueue eq;
     std::vector<Tick> fired;
     const Tick ticks[] = {kHorizon - 1, kHorizon, kHorizon + 1,
@@ -211,7 +216,7 @@ TEST(TimingWheel, RunUntilStopsExactlyAtEpochEdges)
     for (Tick t : ticks)
         eq.schedule(t, [&fired, t] { fired.push_back(t); });
 
-    // Stop one tick before the first epoch edge.
+    // Stop one tick before the first horizon edge.
     EXPECT_EQ(eq.run(kHorizon - 1), kHorizon - 1);
     EXPECT_EQ(fired, (std::vector<Tick>{kHorizon - 1}));
     EXPECT_EQ(eq.nextTime(), kHorizon);
@@ -231,11 +236,11 @@ TEST(TimingWheel, RunUntilStopsExactlyAtEpochEdges)
     EXPECT_TRUE(eq.empty());
 }
 
-TEST(TimingWheel, RunUntilInsideEmptyEpochGap)
+TEST(TimingWheel, RunUntilInsideEmptyGap)
 {
-    // Stop inside an epoch that holds no events at all (limit between
+    // Stop inside a horizon that holds no events at all (limit between
     // two far-apart events). nextTime() must keep reporting the heap
-    // minimum without promoting it, and scheduling new near events
+    // minimum without migrating it, and scheduling new near events
     // after the early stop must still execute them in order.
     EventQueue eq;
     std::vector<Tick> fired;
@@ -245,11 +250,11 @@ TEST(TimingWheel, RunUntilInsideEmptyEpochGap)
 
     EXPECT_EQ(eq.run(2 * kHorizon + 7), 10u); // now() = last executed
     EXPECT_EQ(fired, (std::vector<Tick>{10}));
-    EXPECT_EQ(eq.nextTime(), 5 * kHorizon + 3); // pure: no promotion
+    EXPECT_EQ(eq.nextTime(), 5 * kHorizon + 3); // pure: no migration
     EXPECT_EQ(eq.pending(), 1u);
 
     // A fresh event earlier than the parked far event (but in a later
-    // epoch than now()) must run first on resume.
+    // horizon than now()) must run first on resume.
     eq.schedule(3 * kHorizon, [&] { fired.push_back(3 * kHorizon); });
     EXPECT_EQ(eq.run(), 5 * kHorizon + 3);
     EXPECT_EQ(fired, (std::vector<Tick>{10, 3 * kHorizon,
@@ -261,7 +266,7 @@ TEST(TimingWheel, RunUntilRepeatedWindowsMatchOneShot)
     // Driving the queue in lookahead-sized windows (the sharded
     // coordinator's access pattern) must execute the exact sequence a
     // single unbounded run() produces — including events that schedule
-    // follow-ups landing in later windows and later epochs.
+    // follow-ups landing in later windows and past the horizon.
     auto spray = [](EventQueue &q, std::vector<Tick> &fired) {
         std::uint64_t lcg = 99;
         for (int i = 0; i < 300; ++i) {
@@ -284,7 +289,7 @@ TEST(TimingWheel, RunUntilRepeatedWindowsMatchOneShot)
     EventQueue win;
     std::vector<Tick> winFired;
     spray(win, winFired);
-    const Tick window = kHorizon / 2 - 7; // misaligned with epochs
+    const Tick window = kHorizon / 2 - 7; // misaligned with the wheel
     for (Tick limit = window;; limit += window) {
         win.run(limit);
         if (win.empty())
@@ -293,6 +298,118 @@ TEST(TimingWheel, RunUntilRepeatedWindowsMatchOneShot)
     EXPECT_EQ(winFired, refFired);
     EXPECT_EQ(win.executed(), ref.executed());
     EXPECT_EQ(win.now(), ref.now());
+}
+
+TEST(TimingWheel, HorizonEdgeSplitsWheelFromHeap)
+{
+    // Move now() off zero so the edge is relative, not absolute.
+    EventQueue eq;
+    eq.schedule(1234, [] {});
+    eq.run();
+    const Tick now = eq.now();
+    std::vector<Tick> fired;
+    auto at = [&](Tick when) {
+        eq.schedule(when, [&fired, when] { fired.push_back(when); });
+    };
+
+    at(now + kHorizon - 1); // last tick the wheel covers
+    EXPECT_EQ(eq.heapPushes(), 0u);
+    at(now + kHorizon); // first tick past it
+    EXPECT_EQ(eq.heapPushes(), 1u);
+    at(now + kHorizon + 1);
+    EXPECT_EQ(eq.heapPushes(), 2u);
+    EXPECT_EQ(eq.nextTime(), now + kHorizon - 1);
+
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{now + kHorizon - 1, now + kHorizon,
+                                        now + kHorizon + 1}));
+    EXPECT_EQ(eq.heapPushes(), 2u);
+}
+
+TEST(TimingWheel, SameTickFifoWhenHeapEntryMeetsDirectInsert)
+{
+    // The first event for tick T goes to the heap; once now() is within
+    // the horizon of T, it migrates into T's slot, and a later event
+    // for T goes there directly. Schedule order must survive.
+    EventQueue eq;
+    const Tick t = kHorizon + 500;
+    std::vector<int> order;
+    eq.schedule(t, [&] { order.push_back(1); }); // heap
+    eq.schedule(t, [&] { order.push_back(2); }); // heap
+    ASSERT_EQ(eq.heapPushes(), 2u);
+    eq.schedule(600, [&] {
+        // 600 > t - kHorizon: t is inside the wheel's window now.
+        eq.schedule(t, [&] { order.push_back(3); });
+        eq.schedule(t - 1, [&] { order.push_back(0); });
+    });
+    eq.run();
+    EXPECT_EQ(eq.heapPushes(), 2u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(eq.now(), t);
+}
+
+TEST(TimingWheel, DifferentialAgainstWhenSeqSortWithBarrierScheduling)
+{
+    // Events scheduled from callbacks and, between bounded run(until)
+    // windows, from outside the queue (the mailbox-drain pattern), with
+    // delays spread around the horizon edge. Every schedule gets a
+    // sequence number; the execution order must be the (when, seq) sort
+    // of all of them.
+    EventQueue eq;
+    std::uint64_t lcg = 2024;
+    auto next = [&lcg] {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return lcg >> 33;
+    };
+    auto delay = [&next]() -> Tick {
+        switch (next() % 6) {
+        case 0: return 0;
+        case 1: return next() % 64;
+        case 2: return next() % kHorizon;
+        case 3: return kHorizon - 1 + next() % 3; // H-1, H, H+1
+        case 4: return kHorizon + next() % (3 * kHorizon);
+        default: return next() % 200000;
+        }
+    };
+    struct Ref
+    {
+        Tick when;
+        std::uint64_t seq;
+    };
+    std::vector<Ref> refs;
+    std::vector<std::uint64_t> fired;
+    std::uint64_t budget = 20000;
+    std::function<void(Tick)> add = [&](Tick when) {
+        const std::uint64_t seq = refs.size();
+        refs.push_back(Ref{when, seq});
+        eq.schedule(when, [&, seq] {
+            fired.push_back(seq);
+            const unsigned children = static_cast<unsigned>(next() % 3);
+            for (unsigned c = 0; c < children && budget > 0; ++c, --budget)
+                add(eq.now() + delay());
+        });
+    };
+
+    for (int i = 0; i < 64; ++i)
+        add(delay());
+    Tick limit = 0;
+    while (!eq.empty()) {
+        limit += 1 + next() % (kHorizon / 2);
+        eq.run(limit);
+        // Barrier: schedule from outside, at or after now().
+        for (unsigned k = next() % 4; k > 0 && budget > 0; --k, --budget)
+            add(eq.now() + delay());
+    }
+
+    std::sort(refs.begin(), refs.end(), [](const Ref &a, const Ref &b) {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    });
+    ASSERT_GT(refs.size(), 10000u);
+    ASSERT_EQ(fired.size(), refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        ASSERT_EQ(fired[i], refs[i].seq) << "at position " << i;
+    EXPECT_GT(eq.heapPushes(), 0u);
+    EXPECT_LT(eq.heapPushes(), refs.size());
 }
 
 TEST(TimingWheel, PendingAndExecutedCounters)
@@ -395,6 +512,67 @@ TEST(TimingWheelAlloc, CoroutineResumeSchedulingIsAllocationFree)
     EXPECT_EQ(count, 8u * 1000u);
     EXPECT_EQ(after - before, 0u)
         << "coroutine resume scheduling allocated";
+}
+
+// -- Allocation-free mailbox barrier ------------------------------------
+
+/** Message bouncing between units 0 and 1 through the mailbox. */
+struct Bouncer
+{
+    Machine *m;
+    UnitId at;
+    std::uint64_t *remaining;
+};
+
+void
+bounce(Bouncer *b)
+{
+    if (*b->remaining == 0)
+        return;
+    --*b->remaining;
+    const UnitId from = b->at;
+    b->at = 1 - from;
+    b->m->postMessage(b->m->eq(from).now(), from, b->at, 64,
+                      [b] { bounce(b); });
+}
+
+TEST(TimingWheelAlloc, OneShardMailboxBarrierIsAllocationFree)
+{
+    // One shard, two units: every cross-unit message becomes a mailbox
+    // envelope drained at a window barrier, as in a serial run.
+    Machine m(SystemConfig::make(Scheme::SynCron, 2, 1));
+    ASSERT_EQ(m.numShards(), 1u);
+    ASSERT_TRUE(m.mailboxActive());
+    ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
+
+    std::array<Bouncer, 32> bouncers;
+    std::uint64_t remaining = 0;
+    auto round = [&](std::uint64_t messages) {
+        remaining = messages;
+        for (std::size_t i = 0; i < bouncers.size(); ++i) {
+            bouncers[i] = Bouncer{&m, static_cast<UnitId>(i % 2),
+                                  &remaining};
+            bounce(&bouncers[i]);
+        }
+        kernel.run();
+        EXPECT_EQ(remaining, 0u);
+    };
+
+    // Warm-up grows the outbox, gather buffer, in-flight table and
+    // node pool to working size.
+    round(20000);
+    const std::uint64_t windowsBefore = kernel.windows();
+    const std::uint64_t envelopesBefore = m.envelopes();
+
+    const std::uint64_t before =
+        gAllocCount.load(std::memory_order_relaxed);
+    round(20000);
+    const std::uint64_t after =
+        gAllocCount.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "postMessage()/drainMailboxes() allocated in steady state";
+    EXPECT_EQ(m.envelopes() - envelopesBefore, 20000u);
+    EXPECT_GT(kernel.windows() - windowsBefore, 100u);
 }
 
 } // namespace

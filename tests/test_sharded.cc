@@ -316,5 +316,38 @@ TEST(ShardResolution, ShardCountClampsToUnitCount)
     EXPECT_GE(sys.machine().numShards(), 1u);
 }
 
+// -- Kernel work counters ----------------------------------------------
+
+TEST(KernelCounters, ExactShardInvariantAndMostlyOnTheWheel)
+{
+    // A fixed Fig. 11 cell: the hash table on SynCron, 4 units x 15
+    // client cores, at a quarter of the Table 6 defaults.
+    const harness::DsParams p =
+        harness::dsDefaults(harness::DsKind::HashTable, 0.25);
+    auto cell = [&p](unsigned shards) {
+        SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 4, 15);
+        cfg.simShards = shards;
+        return harness::runDataStructure(cfg, harness::DsKind::HashTable,
+                                         p.initialSize, p.opsPerCore);
+    };
+    const harness::RunOutput a = cell(1);
+    const harness::RunOutput b = cell(1);
+    const harness::RunOutput sharded = cell(4);
+
+    // The counters are exact: identical runs count identical work.
+    EXPECT_EQ(a.hostEvents, b.hostEvents);
+    EXPECT_EQ(a.hostHeapPushes, b.hostHeapPushes);
+    EXPECT_EQ(a.hostWindows, b.hostWindows);
+    EXPECT_EQ(a.hostEnvelopes, b.hostEnvelopes);
+
+    // Envelopes are cross-unit messages, whatever the shard count.
+    EXPECT_GT(a.hostEnvelopes, 0u);
+    EXPECT_EQ(sharded.hostEnvelopes, a.hostEnvelopes);
+
+    // The sliding horizon keeps nearly every schedule off the heap.
+    EXPECT_GT(a.hostWindows, 0u);
+    EXPECT_LT(a.hostHeapPushes, a.hostEvents / 5);
+}
+
 } // namespace
 } // namespace syncron

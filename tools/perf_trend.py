@@ -17,6 +17,11 @@ non-zero when a metric regresses beyond the threshold:
     is simulated tail latency: lower is better, so the regression
     direction is inverted — the gate fails when the current p99 EXCEEDS
     the baseline by more than the threshold.
+  - wheelEventsPerSec per kernel scenario (bench_kernel_micro records,
+    which carry "scenarios" instead of "configs") is host speed too and
+    shares the host threshold. A scenario the baseline lacks is listed
+    as new, and the overall rate is compared only when both records ran
+    the same scenarios.
 
 Usage:
   perf_trend.py BASELINE.json CURRENT.json [--threshold 0.10]
@@ -39,14 +44,17 @@ def load(path):
     with open(path) as f:
         rec = json.load(f)
     # Validate by schema, not by file name: a BENCH_*.json record is an
-    # object with a bench name and a configs list. Records stamped with
+    # object with a bench name and a configs (or, for the kernel
+    # microbenchmark, a scenarios) list. Records stamped with
     # "sanitizer" come from instrumented builds (-DSYNCRON_SANITIZE=...)
     # whose timings are meaningless as perf data — refuse them the same
     # way as a malformed record, so a sanitizer-job artifact can never
     # become a perf baseline.
     if not isinstance(rec, dict) or "bench" not in rec \
-            or not isinstance(rec.get("configs"), list):
-        raise ValueError("not a bench record (missing 'bench'/'configs')")
+            or not (isinstance(rec.get("configs"), list)
+                    or isinstance(rec.get("scenarios"), list)):
+        raise ValueError("not a bench record (missing 'bench' or "
+                         "'configs'/'scenarios')")
     if rec.get("sanitizer"):
         raise ValueError("sanitizer-instrumented record (%s); not usable "
                          "as perf data" % rec["sanitizer"])
@@ -114,6 +122,18 @@ def p99_pairs(base_cfgs, cur_cfgs, shared):
     return pairs
 
 
+def shared_keys(kind, base, cur):
+    """Keys present in both maps; reports the ones present in only one."""
+    for k in base:
+        if k not in cur:
+            print("perf_trend: %s '%s' only in baseline (renamed?)"
+                  % (kind, k))
+    for k in cur:
+        if k not in base:
+            print("perf_trend: %s '%s' is new (no baseline)" % (kind, k))
+    return [k for k in base if k in cur]
+
+
 def run(argv):
     ap = argparse.ArgumentParser(
         description="diff two BENCH_*.json records, exit non-zero on "
@@ -161,14 +181,10 @@ def run(argv):
 
     base_cfgs = {c["label"]: c for c in base.get("configs", [])}
     cur_cfgs = {c["label"]: c for c in cur.get("configs", [])}
-    shared = [l for l in base_cfgs if l in cur_cfgs]
-    for l in base_cfgs:
-        if l not in cur_cfgs:
-            print("perf_trend: label '%s' only in baseline (renamed "
-                  "config?)" % l)
-    for l in cur_cfgs:
-        if l not in base_cfgs:
-            print("perf_trend: label '%s' is new (no baseline)" % l)
+    shared = shared_keys("label", base_cfgs, cur_cfgs)
+    base_scen = {s["name"]: s for s in base.get("scenarios", [])}
+    cur_scen = {s["name"]: s for s in cur.get("scenarios", [])}
+    shared_scen = shared_keys("scenario", base_scen, cur_scen)
 
     failures = []
 
@@ -193,6 +209,18 @@ def run(argv):
         "p99 ns (open-loop, simulated)",
         p99_pairs(base_cfgs, cur_cfgs, shared),
         args.p99_threshold, failures, higher_is_better=False)
+    compare_metric(
+        "events/sec (host, kernel scenario)",
+        [(n, base_scen[n].get("wheelEventsPerSec", 0.0),
+          cur_scen[n].get("wheelEventsPerSec", 0.0)) for n in shared_scen],
+        args.host_threshold, failures)
+    if base_scen and sorted(base_scen) == sorted(cur_scen):
+        compare_metric(
+            "events/sec (host, kernel overall)",
+            [("<overall>",
+              base.get("overall", {}).get("wheelEventsPerSec", 0.0),
+              cur.get("overall", {}).get("wheelEventsPerSec", 0.0))],
+            args.host_threshold, failures)
 
     if failures:
         print("\nperf_trend: %d regression(s):" % len(failures))
@@ -222,6 +250,20 @@ def _record(bench="slo_curves", ops=100.0, p99=500.0, sanitizer=None,
     if sanitizer:
         rec["sanitizer"] = sanitizer
     return rec
+
+
+def _kernel_record(far=2e7, mix=None):
+    names = [("resume", 3e7), ("far", far)]
+    if mix is not None:
+        names.append(("mix", mix))
+    scenarios = [{"name": n, "legacyEventsPerSec": 6e6,
+                  "wheelEventsPerSec": v, "speedup": v / 6e6}
+                 for n, v in names]
+    total = len(names) / sum(1.0 / v for _, v in names)
+    return {"bench": "kernel_micro", "scenarios": scenarios,
+            "overall": {"legacyEventsPerSec": 6e6,
+                        "wheelEventsPerSec": total,
+                        "speedup": total / 6e6}}
 
 
 def self_test():
@@ -283,6 +325,16 @@ def self_test():
     # Mismatched bench names never compare.
     check("bench name mismatch rejected",
           [_record(bench="a"), _record(bench="b")], 2)
+
+    # Kernel-microbenchmark records carry scenarios, not configs.
+    check("kernel scenarios compare",
+          [_kernel_record(), _kernel_record()], 0)
+    check("kernel scenario regression fires",
+          [_kernel_record(), _kernel_record(far=5e6)], 1)
+    check("kernel scenario new in current passes",
+          [_kernel_record(), _kernel_record(mix=9e6)], 0)
+    check("kernel overall skipped when scenarios differ",
+          [_kernel_record(), _kernel_record(mix=1e5)], 0)
 
     failed = [c for c in checks if not c[1]]
     for name, ok, rc, expect, out in checks:
