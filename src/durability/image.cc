@@ -1,113 +1,49 @@
 #include "durability/image.hh"
 
 #include <algorithm>
-#include <fstream>
+#include <climits>
 #include <istream>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "common/log.hh"
+#include "trace/varint.hh"
 
 namespace syncron::durability {
-
-namespace {
-
-// -- LEB128 varints (file-local, as in trace/format.cc) ----------------
-
-void
-putVarint(std::ostream &os, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        os.put(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    os.put(static_cast<char>(v));
-}
-
-std::uint64_t
-getVarint(std::istream &is)
-{
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        const int byte = is.get();
-        if (byte == std::istream::traits_type::eof())
-            SYNCRON_FATAL("persisted image truncated inside a varint");
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return v;
-    }
-    SYNCRON_FATAL("persisted-image varint longer than 64 bits "
-                  "(corrupt stream)");
-}
-
-/** Bounds-checks an enum read from the wire. */
-template <typename Enum>
-Enum
-checkedEnum(std::uint64_t raw, std::uint64_t last, const char *what)
-{
-    if (raw > last)
-        SYNCRON_FATAL("persisted image contains out-of-range "
-                      << what << " value " << raw);
-    return static_cast<Enum>(raw);
-}
-
-/** Cap for size-driven reserve() so a corrupt count cannot OOM us. */
-constexpr std::size_t kReserveCap = 1 << 16;
-
-} // namespace
 
 void
 writeImage(std::ostream &os, const PersistedImage &img)
 {
-    os.write(kImageMagic, sizeof(kImageMagic));
-    putVarint(os, kImageVersion);
-
-    putVarint(os, img.numUnits);
-    putVarint(os, img.clientCoresPerUnit);
-    putVarint(os, static_cast<std::uint64_t>(img.mode));
-    putVarint(os, img.epochOps);
-    putVarint(os, img.crashTick);
     SYNCRON_ASSERT(img.appended >= img.records.size(),
                    "image appended count " << img.appended
                                            << " below durable count "
                                            << img.records.size());
-    putVarint(os, img.appended);
-
-    putVarint(os, img.primitives.size());
-    for (const trace::TracePrimitive &p : img.primitives) {
-        putVarint(os, static_cast<std::uint64_t>(p.kind));
-        putVarint(os, p.home);
-        putVarint(os, p.param);
-        putVarint(os, static_cast<std::uint64_t>(p.scope));
-    }
-
-    putVarint(os, img.records.size());
-    for (const trace::TraceRecord &r : img.records) {
-        if (r.assocPrim != 0 && r.kind != sync::OpKind::CondWait)
-            SYNCRON_FATAL("image record carries an associated primitive "
-                          "but is not a cond_wait");
-        putVarint(os, r.issued);
-        SYNCRON_ASSERT(r.completed >= r.issued,
-                       "image record completes before it issues");
-        putVarint(os, r.completed - r.issued);
-        putVarint(os, r.core);
-        putVarint(os, static_cast<std::uint64_t>(r.kind));
-        putVarint(os, r.prim);
-        putVarint(os, r.assocPrim);
-    }
-
-    if (!os)
-        SYNCRON_FATAL("stream error while writing persisted image");
+    os.write(kImageMagic, sizeof(kImageMagic));
+    trace::putVarint(os, kImageVersion);
+    trace::putVarint(os, static_cast<std::uint64_t>(img.mode));
+    trace::putVarint(os, img.epochOps);
+    trace::putVarint(os, img.crashTick);
+    trace::putVarint(os, img.appended);
+    trace::encodeTrace(os, img.numUnits, img.clientCoresPerUnit,
+                       img.primitives, img.records);
 }
 
 PersistedImage
 readImage(std::istream &is)
 {
-    char magic[sizeof(kImageMagic)];
-    is.read(magic, sizeof(magic));
-    if (!is || !std::equal(magic, magic + sizeof(magic), kImageMagic))
+    const std::string bytes = trace::readAllBytes(is);
+    const auto *begin =
+        reinterpret_cast<const unsigned char *>(bytes.data());
+    const unsigned char *end = begin + bytes.size();
+    if (bytes.size() < sizeof(kImageMagic)
+        || !std::equal(kImageMagic, kImageMagic + sizeof(kImageMagic),
+                       bytes.data()))
         SYNCRON_FATAL("not a SynCron persisted image (bad magic)");
 
-    const std::uint64_t version = getVarint(is);
+    trace::VarintCursor cur(begin + sizeof(kImageMagic), end,
+                            "persisted image");
+    const std::uint64_t version = cur.get();
     if (version != kImageVersion) {
         SYNCRON_FATAL("unsupported persisted-image version "
                       << version << " (this build reads version "
@@ -115,107 +51,32 @@ readImage(std::istream &is)
     }
 
     PersistedImage img;
-    img.numUnits = static_cast<std::uint32_t>(getVarint(is));
-    img.clientCoresPerUnit = static_cast<std::uint32_t>(getVarint(is));
-    img.mode = checkedEnum<PersistMode>(
-        getVarint(is), static_cast<std::uint64_t>(PersistMode::Epoch),
-        "persist mode");
-    img.epochOps = static_cast<std::uint32_t>(getVarint(is));
-    img.crashTick = getVarint(is);
-    img.appended = getVarint(is);
+    const std::uint64_t mode = cur.get();
+    if (mode > static_cast<std::uint64_t>(PersistMode::Epoch))
+        SYNCRON_FATAL("persisted image contains out-of-range persist "
+                      "mode value "
+                      << mode);
+    img.mode = static_cast<PersistMode>(mode);
+    const std::uint64_t epochOps = cur.get();
+    if (epochOps > UINT32_MAX)
+        SYNCRON_FATAL("persisted image contains out-of-range epoch size "
+                      << epochOps);
+    img.epochOps = static_cast<std::uint32_t>(epochOps);
+    img.crashTick = cur.get();
+    img.appended = cur.get();
 
-    const std::uint64_t cores =
-        std::uint64_t{img.numUnits} * img.clientCoresPerUnit;
-
-    const std::uint64_t numPrims = getVarint(is);
-    img.primitives.reserve(
-        std::min<std::uint64_t>(numPrims, kReserveCap));
-    for (std::uint64_t i = 0; i < numPrims; ++i) {
-        trace::TracePrimitive p;
-        p.kind = checkedEnum<trace::PrimKind>(
-            getVarint(is),
-            static_cast<std::uint64_t>(trace::PrimKind::CondVar),
-            "primitive kind");
-        p.home = static_cast<UnitId>(getVarint(is));
-        if (img.numUnits != 0 && p.home >= img.numUnits) {
-            SYNCRON_FATAL("image primitive " << i << " homed in unit "
-                                             << p.home << " of a "
-                                             << img.numUnits
-                                             << "-unit machine");
-        }
-        p.param = static_cast<std::uint32_t>(getVarint(is));
-        p.scope = checkedEnum<sync::BarrierScope>(
-            getVarint(is),
-            static_cast<std::uint64_t>(sync::BarrierScope::AcrossUnits),
-            "barrier scope");
-        img.primitives.push_back(p);
-    }
-
-    const std::uint64_t numRecords = getVarint(is);
-    if (img.appended < numRecords)
+    trace::Trace wal =
+        trace::TraceDecoder(cur.position(), end, "persisted image")
+            .decode();
+    if (img.appended < wal.records.size())
         SYNCRON_FATAL("image appended count " << img.appended
                                               << " below durable count "
-                                              << numRecords);
-    img.records.reserve(
-        std::min<std::uint64_t>(numRecords, kReserveCap));
-    for (std::uint64_t i = 0; i < numRecords; ++i) {
-        trace::TraceRecord r;
-        r.issued = getVarint(is);
-        r.completed = r.issued + getVarint(is);
-        r.core = static_cast<std::uint32_t>(getVarint(is));
-        if (r.core >= cores) {
-            SYNCRON_FATAL("image record " << i << " issued by core "
-                                          << r.core << " of a "
-                                          << cores << "-core machine");
-        }
-        r.kind = checkedEnum<sync::OpKind>(
-            getVarint(is),
-            static_cast<std::uint64_t>(sync::OpKind::CondBroadcast),
-            "op kind");
-        r.prim = static_cast<std::uint32_t>(getVarint(is));
-        if (r.prim >= img.primitives.size()) {
-            SYNCRON_FATAL("image record " << i
-                                          << " references primitive "
-                                          << r.prim
-                                          << " past the table");
-        }
-        r.assocPrim = static_cast<std::uint32_t>(getVarint(is));
-        if (r.kind == sync::OpKind::CondWait) {
-            if (r.assocPrim >= img.primitives.size()) {
-                SYNCRON_FATAL("image cond_wait record "
-                              << i << " with dangling associated lock "
-                              << r.assocPrim);
-            }
-        } else if (r.assocPrim != 0) {
-            SYNCRON_FATAL("image record " << i
-                                          << " carries an associated "
-                                             "primitive but is not a "
-                                             "cond_wait");
-        }
-        img.records.push_back(r);
-    }
-
-    if (is.peek() != std::istream::traits_type::eof())
-        SYNCRON_FATAL("trailing bytes after the last image record");
+                                              << wal.records.size());
+    img.numUnits = wal.numUnits;
+    img.clientCoresPerUnit = wal.clientCoresPerUnit;
+    img.primitives = std::move(wal.primitives);
+    img.records = std::move(wal.records);
     return img;
-}
-
-void
-writeImageFile(const std::string &path, const PersistedImage &img)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os)
-        SYNCRON_FATAL("cannot write persisted image '" << path << "'");
-    writeImage(os, img);
-}
-
-PersistedImage
-readImageFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        SYNCRON_FATAL("cannot read persisted image '" << path << "'");
-    return readImage(is);
 }
 
 } // namespace syncron::durability

@@ -11,11 +11,19 @@
  * `appended` counts every record the manager saw, so `appended -
  * records.size()` is the staged tail an epoch-mode crash lost.
  *
- * On-disk container, versioned like the trace container ("SYNCTRC"):
- * magic "SYNCDUR\0", varint version, header fields, primitive table,
- * delta/zigzag records keyed by dense primitive ids. Readers reject
- * unknown versions, truncation, trailing bytes, and dangling primitive
- * references.
+ * On-disk container (version 2), versioned like the trace container:
+ *
+ *   magic "SYNCDUR\0" | varint version (= 2)
+ *   varint mode | varint epochOps | varint crashTick | varint appended
+ *   | an embedded SYNCTRC container (trace/format.hh) holding the
+ *     machine shape, the primitive table and the durable records
+ *
+ * The records are delta/zigzag encoded and keyed by dense primitive
+ * ids, exactly as in a trace file, and go through the same encoder and
+ * decoder. Readers reject unknown versions (version 1, which wrote its
+ * own record layout with absolute issue ticks, included), truncation,
+ * trailing bytes, dangling primitive references, and an appended count
+ * below the durable record count.
  */
 
 #ifndef SYNCRON_DURABILITY_IMAGE_HH
@@ -23,7 +31,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -37,7 +44,7 @@ inline constexpr char kImageMagic[8] = {'S', 'Y', 'N', 'C',
                                         'D', 'U', 'R', '\0'};
 
 /** Current persisted-image layout version. */
-inline constexpr std::uint32_t kImageVersion = 1;
+inline constexpr std::uint32_t kImageVersion = 2;
 
 /** Snapshot of the PM durability domain at a crash (or clean end). */
 struct PersistedImage
@@ -60,15 +67,13 @@ struct PersistedImage
                            const PersistedImage &) = default;
 };
 
-/** Serializes @p img; fatal()s on stream errors. */
+/** Serializes @p img; fatal()s on stream errors. Panics when
+ *  img.appended is below the durable record count. */
 void writeImage(std::ostream &os, const PersistedImage &img);
 
-/** Parses an image; fatal()s on any corruption (see file comment). */
+/** Parses an image from the rest of @p is; fatal()s on any
+ *  corruption (see file comment). */
 PersistedImage readImage(std::istream &is);
-
-/** File variants. */
-void writeImageFile(const std::string &path, const PersistedImage &img);
-PersistedImage readImageFile(const std::string &path);
 
 } // namespace syncron::durability
 

@@ -49,6 +49,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -216,17 +217,21 @@ class SyncFuture
 
     /**
      * Accounts for a dropped-but-resolved future; panics when the
-     * operation is still in flight (the backend still holds the gate).
+     * operation is still in flight (the backend still holds the gate),
+     * unless the drop is part of a crash teardown or an unwind.
      */
     void
     finalizeState()
     {
         if (state_ == nullptr)
             return;
-        if (state_->machine.crashed()) {
+        if (state_->machine.crashed() || std::uncaught_exceptions() > 0) {
             // Crash teardown: the backend died with the operation in
             // flight, and nothing after the crash tick may enter the
-            // durable record stream — drop silently.
+            // durable record stream — drop silently. Unwind: another
+            // error is already propagating (an engine panic, say);
+            // panicking again from this destructor would terminate
+            // the process and hide it.
             state_.reset();
             return;
         }

@@ -1,12 +1,13 @@
 #include "trace/format.hh"
 
 #include <algorithm>
+#include <climits>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 
 #include "common/log.hh"
 #include "trace/varint.hh"
@@ -76,60 +77,70 @@ Trace::hottestLockShare() const
 
 namespace {
 
-// LEB128/zigzag primitives live in trace/varint.hh, shared with the
-// mmap'd reader and the tracenet wire marshaller.
+/**
+ * A primitive takes at least 4 bytes on the wire and a record at least
+ * 5, so a count that the remaining bytes cannot hold is corrupt: reserve
+ * only what the buffer could carry, and let the decode loop report the
+ * truncation.
+ */
+constexpr std::size_t kMinPrimitiveBytes = 4;
+constexpr std::size_t kMinRecordBytes = 5;
 
-/** Bounds-checks an enum read from the wire. */
+/** Bounds-checks an enum read from the container. */
 template <typename Enum>
 Enum
-checkedEnum(std::uint64_t raw, std::uint64_t last, const char *what)
+checkedEnum(std::uint64_t raw, std::uint64_t last, const char *field,
+            const char *what)
 {
     if (raw > last)
-        SYNCRON_FATAL("trace contains out-of-range " << what << " value "
-                                                     << raw);
+        SYNCRON_FATAL(what << " contains out-of-range " << field
+                           << " value " << raw);
     return static_cast<Enum>(raw);
 }
 
 } // namespace
 
 void
-TraceWriter::write(const Trace &trace)
+encodeTrace(std::ostream &os, std::uint32_t numUnits,
+            std::uint32_t clientCoresPerUnit,
+            std::span<const TracePrimitive> primitives,
+            std::span<const TraceRecord> records)
 {
-    os_.write(kTraceMagic.data(), kTraceMagic.size());
-    putVarint(os_, kTraceVersion);
-    putVarint(os_, trace.numUnits);
-    putVarint(os_, trace.clientCoresPerUnit);
+    os.write(kTraceMagic.data(), kTraceMagic.size());
+    putVarint(os, kTraceVersion);
+    putVarint(os, numUnits);
+    putVarint(os, clientCoresPerUnit);
 
-    putVarint(os_, trace.primitives.size());
-    for (const TracePrimitive &p : trace.primitives) {
-        putVarint(os_, static_cast<std::uint64_t>(p.kind));
-        putVarint(os_, p.home);
-        putVarint(os_, p.param);
-        putVarint(os_, static_cast<std::uint64_t>(p.scope));
+    putVarint(os, primitives.size());
+    for (const TracePrimitive &p : primitives) {
+        putVarint(os, static_cast<std::uint64_t>(p.kind));
+        putVarint(os, p.home);
+        putVarint(os, p.param);
+        putVarint(os, static_cast<std::uint64_t>(p.scope));
     }
 
-    putVarint(os_, trace.records.size());
+    putVarint(os, records.size());
     Tick prevIssued = 0;
-    for (const TraceRecord &r : trace.records) {
+    for (const TraceRecord &r : records) {
         SYNCRON_ASSERT(r.completed >= r.issued,
                        "record completed before it was issued");
-        putVarint(os_, zigzag(static_cast<std::int64_t>(r.issued)
-                              - static_cast<std::int64_t>(prevIssued)));
-        putVarint(os_, r.completed - r.issued);
-        putVarint(os_, r.core);
-        putVarint(os_, static_cast<std::uint64_t>(r.kind));
-        putVarint(os_, r.prim);
+        putVarint(os, zigzag(static_cast<std::int64_t>(r.issued)
+                             - static_cast<std::int64_t>(prevIssued)));
+        putVarint(os, r.completed - r.issued);
+        putVarint(os, r.core);
+        putVarint(os, static_cast<std::uint64_t>(r.kind));
+        putVarint(os, r.prim);
         // v2: the associated lock is a mandatory cond_wait-only field;
         // consumers (the offline deadlock analyzer) rely on it, so an
         // unset or dangling value is a writer error, not a reader one.
         if (r.kind == sync::OpKind::CondWait) {
-            if (r.assocPrim >= trace.primitives.size()
-                || trace.primitives[r.assocPrim].kind != PrimKind::Lock) {
+            if (r.assocPrim >= primitives.size()
+                || primitives[r.assocPrim].kind != PrimKind::Lock) {
                 SYNCRON_FATAL("cond_wait record without a valid "
                               "associated lock (assocPrim "
                               << r.assocPrim << ")");
             }
-            putVarint(os_, r.assocPrim);
+            putVarint(os, r.assocPrim);
         } else if (r.assocPrim != 0) {
             SYNCRON_FATAL("record carries an associated primitive but "
                           "is not a cond_wait ("
@@ -138,120 +149,182 @@ TraceWriter::write(const Trace &trace)
         prevIssued = r.issued;
     }
 
-    if (!os_)
+    if (!os)
         SYNCRON_FATAL("stream error while writing trace");
+}
+
+TraceDecoder::TraceDecoder(const unsigned char *begin,
+                           const unsigned char *end, const char *what)
+    : what_(what), end_(end)
+{
+    if (static_cast<std::size_t>(end - begin) < kTraceMagic.size()
+        || std::memcmp(begin, kTraceMagic.data(), kTraceMagic.size())
+               != 0) {
+        SYNCRON_FATAL(what << " is not a SynCron trace (bad magic)");
+    }
+    VarintCursor cur(begin + kTraceMagic.size(), end, what);
+    const std::uint64_t version = cur.get();
+    if (version == 1) {
+        // v1's associated-primitive field was unreliable (see the
+        // changelog above); silently accepting it would hand the
+        // deadlock analyzer cond_waits with no lock.
+        SYNCRON_FATAL(what << " is trace version 1, which is no longer "
+                              "readable (its cond_wait records carry no "
+                              "reliable associated lock); recapture the "
+                              "trace with this build");
+    }
+    if (version != kTraceVersion) {
+        SYNCRON_FATAL(what << " has unsupported trace version " << version
+                           << " (this build reads " << kTraceVersion
+                           << ")");
+    }
+
+    const std::uint64_t units = cur.get();
+    const std::uint64_t coresPerUnit = cur.get();
+    if (units == 0 || coresPerUnit == 0)
+        SYNCRON_FATAL(what << " header describes a machine with no cores");
+    if (units > UINT32_MAX || coresPerUnit > UINT32_MAX / units)
+        SYNCRON_FATAL(what << " header describes " << units << " units x "
+                           << coresPerUnit
+                           << " cores, at least 2^32 client cores");
+    numUnits_ = static_cast<std::uint32_t>(units);
+    coresPerUnit_ = static_cast<std::uint32_t>(coresPerUnit);
+
+    const std::uint64_t primCount = cur.get();
+    primitives_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+        primCount, cur.remaining() / kMinPrimitiveBytes)));
+    for (std::uint64_t i = 0; i < primCount; ++i) {
+        TracePrimitive p;
+        p.kind = checkedEnum<PrimKind>(
+            cur.get(), static_cast<std::uint64_t>(PrimKind::CondVar),
+            "PrimKind", what);
+        // Wide fields are range-checked before they are narrowed, so a
+        // corrupt value cannot wrap into range.
+        const std::uint64_t home = cur.get();
+        if (home >= numUnits_)
+            SYNCRON_FATAL(what << " primitive " << i << " homed in unit "
+                               << home << " of a " << numUnits_
+                               << "-unit machine");
+        p.home = static_cast<UnitId>(home);
+        const std::uint64_t param = cur.get();
+        if (param > UINT32_MAX)
+            SYNCRON_FATAL(what << " primitive " << i
+                               << " has an out-of-range parameter "
+                               << param);
+        p.param = static_cast<std::uint32_t>(param);
+        p.scope = checkedEnum<sync::BarrierScope>(
+            cur.get(),
+            static_cast<std::uint64_t>(sync::BarrierScope::AcrossUnits),
+            "BarrierScope", what);
+        primitives_.push_back(p);
+    }
+
+    recordCount_ = cur.get();
+    records_ = cur.position();
+}
+
+bool
+TraceDecoder::Cursor::next(TraceRecord &out)
+{
+    const TraceDecoder &d = dec_;
+    if (index_ == d.recordCount_) {
+        if (!cur_.atEnd())
+            SYNCRON_FATAL("trailing bytes after the last " << d.what_
+                                                           << " record");
+        return false;
+    }
+
+    // Issue ticks stay in [0, 2^63) (prevIssued_ is one), so neither
+    // the delta sum nor the latency sum below can overflow.
+    const auto prev = static_cast<std::int64_t>(prevIssued_);
+    const std::int64_t delta = unzigzag(cur_.get());
+    if (delta < -prev || delta > INT64_MAX - prev)
+        SYNCRON_FATAL(d.what_ << " record " << index_
+                              << " has an issue tick outside [0, 2^63)");
+    out.issued = static_cast<Tick>(prev + delta);
+    const std::uint64_t latency = cur_.get();
+    if (latency > UINT64_MAX - out.issued)
+        SYNCRON_FATAL(d.what_ << " record " << index_
+                              << " completes past the last tick");
+    out.completed = out.issued + latency;
+    const std::uint64_t core = cur_.get();
+    if (core >= d.numClientCores())
+        SYNCRON_FATAL(d.what_ << " record " << index_ << " issued by core "
+                              << core << " of a " << d.numClientCores()
+                              << "-core machine");
+    out.core = static_cast<std::uint32_t>(core);
+    out.kind = checkedEnum<sync::OpKind>(
+        cur_.get(), static_cast<std::uint64_t>(sync::OpKind::CondBroadcast),
+        "OpKind", d.what_);
+    const std::uint64_t prim = cur_.get();
+    if (prim >= d.primitives_.size())
+        SYNCRON_FATAL(d.what_ << " record " << index_
+                              << " names unknown primitive " << prim);
+    out.prim = static_cast<std::uint32_t>(prim);
+    if (primKindOf(out.kind) != d.primitives_[out.prim].kind) {
+        SYNCRON_FATAL(d.what_
+                      << " record " << index_ << " applies "
+                      << sync::opKindName(out.kind) << " to a "
+                      << primKindName(d.primitives_[out.prim].kind));
+    }
+    out.assocPrim = 0;
+    if (out.kind == sync::OpKind::CondWait) {
+        const std::uint64_t assoc = cur_.get();
+        if (assoc >= d.primitives_.size()
+            || d.primitives_[assoc].kind != PrimKind::Lock) {
+            SYNCRON_FATAL(d.what_ << " record " << index_
+                                  << " is a cond_wait without a valid "
+                                     "associated lock");
+        }
+        out.assocPrim = static_cast<std::uint32_t>(assoc);
+    }
+    prevIssued_ = out.issued;
+    ++index_;
+    return true;
+}
+
+Trace
+TraceDecoder::decode() const
+{
+    Trace t;
+    t.numUnits = numUnits_;
+    t.clientCoresPerUnit = coresPerUnit_;
+    t.primitives = primitives_;
+    t.records.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+        recordCount_,
+        static_cast<std::size_t>(end_ - records_) / kMinRecordBytes)));
+    Cursor cur = records();
+    TraceRecord rec;
+    while (cur.next(rec))
+        t.records.push_back(rec);
+    return t;
+}
+
+void
+TraceWriter::write(const Trace &trace)
+{
+    encodeTrace(os_, trace.numUnits, trace.clientCoresPerUnit,
+                trace.primitives, trace.records);
+}
+
+std::string
+readAllBytes(std::istream &is)
+{
+    std::string bytes;
+    char chunk[1 << 16];
+    while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0)
+        bytes.append(chunk, static_cast<std::size_t>(is.gcount()));
+    if (is.bad())
+        SYNCRON_FATAL("stream error while reading");
+    return bytes;
 }
 
 Trace
 TraceReader::read()
 {
-    std::array<char, 8> magic{};
-    is_.read(magic.data(), magic.size());
-    if (is_.gcount() != static_cast<std::streamsize>(magic.size())
-        || magic != kTraceMagic) {
-        SYNCRON_FATAL("not a SynCron trace (bad magic)");
-    }
-    const std::uint64_t version = getVarint(is_);
-    if (version == 1) {
-        // v1's associated-primitive field was unreliable (see the
-        // format.hh changelog); silently accepting it would hand the
-        // deadlock analyzer cond_waits with no lock.
-        SYNCRON_FATAL("trace version 1 is no longer readable (its "
-                      "cond_wait records carry no reliable associated "
-                      "lock); recapture the trace with this build");
-    }
-    if (version != kTraceVersion) {
-        SYNCRON_FATAL("unsupported trace version " << version
-                                                   << " (this build reads "
-                                                   << kTraceVersion << ")");
-    }
-
-    Trace trace;
-    trace.numUnits = static_cast<std::uint32_t>(getVarint(is_));
-    trace.clientCoresPerUnit =
-        static_cast<std::uint32_t>(getVarint(is_));
-    if (trace.numUnits == 0 || trace.clientCoresPerUnit == 0)
-        SYNCRON_FATAL("trace header describes a machine with no cores");
-
-    // Counts come off the wire unvalidated: cap the reserve so a
-    // corrupt count fails as a clean truncation fatal inside the read
-    // loop, not as a giant up-front allocation.
-    constexpr std::uint64_t kReserveCap = 1 << 16;
-    const std::uint64_t primCount = getVarint(is_);
-    trace.primitives.reserve(
-        static_cast<std::size_t>(std::min(primCount, kReserveCap)));
-    for (std::uint64_t i = 0; i < primCount; ++i) {
-        TracePrimitive p;
-        p.kind = checkedEnum<PrimKind>(
-            getVarint(is_),
-            static_cast<std::uint64_t>(PrimKind::CondVar), "PrimKind");
-        p.home = static_cast<UnitId>(getVarint(is_));
-        if (p.home >= trace.numUnits)
-            SYNCRON_FATAL("trace primitive " << i << " homed in unit "
-                                             << p.home << " of a "
-                                             << trace.numUnits
-                                             << "-unit machine");
-        p.param = static_cast<std::uint32_t>(getVarint(is_));
-        p.scope = checkedEnum<sync::BarrierScope>(
-            getVarint(is_),
-            static_cast<std::uint64_t>(sync::BarrierScope::AcrossUnits),
-            "BarrierScope");
-        trace.primitives.push_back(p);
-    }
-
-    const std::uint64_t recordCount = getVarint(is_);
-    trace.records.reserve(
-        static_cast<std::size_t>(std::min(recordCount, kReserveCap)));
-    Tick prevIssued = 0;
-    for (std::uint64_t i = 0; i < recordCount; ++i) {
-        TraceRecord r;
-        const std::int64_t issued =
-            static_cast<std::int64_t>(prevIssued)
-            + unzigzag(getVarint(is_));
-        if (issued < 0)
-            SYNCRON_FATAL("trace record " << i
-                                          << " has a negative issue tick");
-        r.issued = static_cast<Tick>(issued);
-        r.completed = r.issued + getVarint(is_);
-        r.core = static_cast<std::uint32_t>(getVarint(is_));
-        if (r.core >= trace.numClientCores())
-            SYNCRON_FATAL("trace record " << i << " issued by core "
-                                          << r.core << " of a "
-                                          << trace.numClientCores()
-                                          << "-core machine");
-        r.kind = checkedEnum<sync::OpKind>(
-            getVarint(is_),
-            static_cast<std::uint64_t>(sync::OpKind::CondBroadcast),
-            "OpKind");
-        r.prim = static_cast<std::uint32_t>(getVarint(is_));
-        if (r.prim >= trace.primitives.size())
-            SYNCRON_FATAL("trace record " << i
-                                          << " names unknown primitive "
-                                          << r.prim);
-        if (primKindOf(r.kind) != trace.primitives[r.prim].kind) {
-            SYNCRON_FATAL(
-                "trace record "
-                << i << " applies " << sync::opKindName(r.kind)
-                << " to a "
-                << primKindName(trace.primitives[r.prim].kind));
-        }
-        if (r.kind == sync::OpKind::CondWait) {
-            r.assocPrim = static_cast<std::uint32_t>(getVarint(is_));
-            if (r.assocPrim >= trace.primitives.size()
-                || trace.primitives[r.assocPrim].kind
-                       != PrimKind::Lock) {
-                SYNCRON_FATAL("trace record "
-                              << i << " is a cond_wait without a valid "
-                                      "associated lock");
-            }
-        }
-        trace.records.push_back(r);
-        prevIssued = r.issued;
-    }
-
-    if (is_.peek() != std::istream::traits_type::eof())
-        SYNCRON_FATAL("trailing bytes after the last trace record");
-    return trace;
+    const std::string bytes = readAllBytes(is_);
+    const auto *begin = reinterpret_cast<const unsigned char *>(bytes.data());
+    return TraceDecoder(begin, begin + bytes.size(), "trace").decode();
 }
 
 void
@@ -286,11 +359,7 @@ readTraceFile(const std::string &path)
     std::ifstream f(path, std::ios::binary);
     if (!f)
         SYNCRON_FATAL("cannot read trace file '" << path << "'");
-    // Pull the whole file through a stringstream so peek()-based
-    // trailing-byte detection is cheap and IO errors surface here.
-    std::stringstream buf;
-    buf << f.rdbuf();
-    return TraceReader(buf).read();
+    return TraceReader(f).read();
 }
 
 } // namespace syncron::trace

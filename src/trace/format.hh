@@ -22,12 +22,19 @@
  *       issued) | core | OpKind | primitive id
  *       | associated lock (cond_wait records only)
  *
- * All multi-byte fields are LEB128 varints; issue ticks are
- * delta-encoded against the previous record (zigzag, so capture order —
- * completion order — need not be issue-ordered). TraceWriter and
- * TraceReader guarantee a lossless round trip; the reader rejects bad
- * magic, unknown versions, truncation, trailing garbage, and records
- * referencing out-of-range primitives or cores.
+ * All multi-byte fields are LEB128 varints (trace/varint.hh, their
+ * only home); issue ticks are delta-encoded against the previous record
+ * (zigzag, so capture order — completion order — need not be
+ * issue-ordered).
+ *
+ * One encoder and one decoder serve every container that carries this
+ * layout. encodeTrace() writes it from borrowed spans; TraceDecoder
+ * reads it from a borrowed byte range. TraceWriter/TraceReader, the
+ * file helpers, the mmap'd MappedTraceReader and the SYNCDUR persisted
+ * image (which embeds a SYNCTRC container after its own header) are
+ * thin wrappers around these two. The round trip is lossless; the
+ * decoder rejects bad magic, unknown versions, truncation, trailing
+ * garbage, and records referencing out-of-range primitives or cores.
  *
  * v1 -> v2: v1 wrote an associated-primitive varint on EVERY record
  * (always 0 outside cond_wait) and did not require writers to populate
@@ -44,6 +51,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +59,7 @@
 #include "common/types.hh"
 #include "sync/opcodes.hh"
 #include "sync/request.hh"
+#include "trace/varint.hh"
 
 namespace syncron::trace {
 
@@ -134,6 +143,95 @@ struct Trace
     friend bool operator==(const Trace &, const Trace &) = default;
 };
 
+/**
+ * Writes one complete container — header, primitive table, records —
+ * to @p os from borrowed spans. fatal()s on stream errors and on
+ * cond_wait records without a valid associated lock (and associated
+ * locks on any other kind); panics on a record that completes before
+ * it issues.
+ */
+void encodeTrace(std::ostream &os, std::uint32_t numUnits,
+                 std::uint32_t clientCoresPerUnit,
+                 std::span<const TracePrimitive> primitives,
+                 std::span<const TraceRecord> records);
+
+/**
+ * The container decoder, over a borrowed byte range that must outlive
+ * it. Construction decodes and validates everything before the first
+ * record (magic, version, machine shape, primitive table, record
+ * count); records() then decodes the stream in place, one record at a
+ * time. @p what names the input in every error message ("trace",
+ * "mapped trace", "persisted image"), so a corrupt file says what it
+ * was.
+ */
+class TraceDecoder
+{
+  public:
+    TraceDecoder(const unsigned char *begin, const unsigned char *end,
+                 const char *what);
+
+    std::uint32_t numUnits() const { return numUnits_; }
+    std::uint32_t clientCoresPerUnit() const { return coresPerUnit_; }
+    std::uint32_t
+    numClientCores() const
+    {
+        return numUnits_ * coresPerUnit_;
+    }
+    const std::vector<TracePrimitive> &primitives() const
+    {
+        return primitives_;
+    }
+    /** Record count from the header (the stream must hold exactly
+     *  this many records and nothing after them). */
+    std::uint64_t recordCount() const { return recordCount_; }
+
+    /**
+     * Allocation-free forward iteration over the records. Borrows the
+     * decoder (which must outlive it); fatal()s on any record-level
+     * violation at the exact offending record index.
+     */
+    class Cursor
+    {
+      public:
+        /**
+         * Decodes the next record into @p out. Returns false once all
+         * recordCount() records have been yielded, after checking that
+         * no bytes follow the last one.
+         */
+        bool next(TraceRecord &out);
+
+        /** Records yielded so far. */
+        std::uint64_t index() const { return index_; }
+
+      private:
+        friend class TraceDecoder;
+        explicit Cursor(const TraceDecoder &dec)
+            : dec_(dec), cur_(dec.records_, dec.end_, dec.what_)
+        {
+        }
+
+        const TraceDecoder &dec_;
+        VarintCursor cur_;
+        std::uint64_t index_ = 0;
+        Tick prevIssued_ = 0;
+    };
+
+    /** A fresh cursor positioned at the first record. */
+    Cursor records() const { return Cursor(*this); }
+
+    /** Decodes every record into an owning Trace. */
+    Trace decode() const;
+
+  private:
+    const char *what_;
+    const unsigned char *records_ = nullptr; ///< first record byte
+    const unsigned char *end_ = nullptr;
+    std::uint32_t numUnits_ = 0;
+    std::uint32_t coresPerUnit_ = 0;
+    std::uint64_t recordCount_ = 0;
+    std::vector<TracePrimitive> primitives_;
+};
+
 /** Serializes traces into the varint container format. */
 class TraceWriter
 {
@@ -144,14 +242,14 @@ class TraceWriter
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
 
-    /** Emits one complete trace; fatal() on stream errors. */
+    /** Emits one complete trace (see encodeTrace()). */
     void write(const Trace &trace);
 
   private:
     std::ostream &os_;
 };
 
-/** Deserializes and validates the varint container format. */
+/** Reads the container from a stream through TraceDecoder. */
 class TraceReader
 {
   public:
@@ -162,15 +260,17 @@ class TraceReader
     TraceReader &operator=(const TraceReader &) = delete;
 
     /**
-     * Parses one complete trace. fatal()s on bad magic, unknown
-     * version, truncation, trailing bytes, or records referencing
-     * out-of-range primitives/cores.
+     * Reads the rest of the stream and decodes it as one complete
+     * trace; fatal()s on any format violation (see TraceDecoder).
      */
     Trace read();
 
   private:
     std::istream &is_;
 };
+
+/** Every byte left in @p is; the buffer the stream readers decode. */
+std::string readAllBytes(std::istream &is);
 
 /** Writes @p trace to @p path; fatal() when the file cannot be written. */
 void writeTraceFile(const Trace &trace, const std::string &path);

@@ -4,36 +4,32 @@
  * address space and decoded in place.
  *
  * The streaming TraceReader materializes a whole Trace on the heap —
- * one vector push per record — which is fine for the small capture
- * files PR 4 dealt in but wrong for multi-gigabyte corpora: a corpus
- * replay would spend its time in allocator traffic before the first
- * simulated tick. MappedTraceReader mmap()s the file read-only,
- * validates the header and primitive table once at open, and then hands
- * out records through a RecordCursor that does nothing but
- * bounds-checked pointer arithmetic over the mapping: no per-record
- * allocation, no copy of the record stream, and the file's pages are
- * faulted in lazily as the cursor walks them.
+ * one vector push per record — which is fine for small capture files
+ * but wrong for multi-gigabyte corpora: a corpus replay would spend its
+ * time in allocator traffic before the first simulated tick.
+ * MappedTraceReader mmap()s the file read-only and runs the container's
+ * one decoder (trace::TraceDecoder) over the mapping: the header and
+ * primitive table are validated once at open, and records come out of
+ * a cursor that does nothing but bounds-checked pointer arithmetic —
+ * no per-record allocation, no copy of the record stream, and the
+ * file's pages are faulted in lazily as the cursor walks them.
  *
- * The rejection surface is the streaming reader's, byte for byte: bad
- * magic, unknown (and the retired v1) versions, truncation anywhere —
- * including mid-varint at the mapping's end — trailing bytes after the
- * last record, and records referencing out-of-range primitives, cores,
- * or kind-mismatched primitives all fatal() with the same diagnostics.
- * The equivalence is pinned by tests: materialize() must equal what
- * TraceReader::read() produces on the same bytes, for every scenario
- * family.
+ * Because both readers are the same decoder, the rejection surface is
+ * the streaming reader's by construction; tests still pin it (every
+ * truncation, bad magic and version, trailing bytes, dangling refs).
  */
 
 #ifndef SYNCRON_TRACE_MMAP_READER_HH
 #define SYNCRON_TRACE_MMAP_READER_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/stats.hh"
 #include "trace/format.hh"
-#include "trace/varint.hh"
 
 namespace syncron::trace {
 
@@ -50,67 +46,27 @@ class MappedTraceReader
      * forces it eagerly.
      */
     explicit MappedTraceReader(const std::string &path);
-    ~MappedTraceReader();
 
     MappedTraceReader(const MappedTraceReader &) = delete;
     MappedTraceReader &operator=(const MappedTraceReader &) = delete;
 
     // -- Header (validated at open)
-    std::uint32_t numUnits() const { return numUnits_; }
-    std::uint32_t clientCoresPerUnit() const { return coresPerUnit_; }
-    std::uint32_t
-    numClientCores() const
+    std::uint32_t numUnits() const { return decoder_.numUnits(); }
+    std::uint32_t clientCoresPerUnit() const
     {
-        return numUnits_ * coresPerUnit_;
+        return decoder_.clientCoresPerUnit();
     }
     const std::vector<TracePrimitive> &primitives() const
     {
-        return primitives_;
+        return decoder_.primitives();
     }
-    /** Record count from the header (the cursor must yield exactly
-     *  this many before hitting the mapping's end). */
-    std::uint64_t recordCount() const { return recordCount_; }
-    /** Mapped file size in bytes. */
-    std::size_t fileBytes() const { return mapBytes_; }
-    const std::string &path() const { return path_; }
+    std::uint64_t recordCount() const { return decoder_.recordCount(); }
 
-    /**
-     * Allocation-free forward iteration over the record stream. The
-     * cursor borrows the reader (which must outlive it); next() is pure
-     * pointer arithmetic over the mapping and fatal()s on any record-
-     * level format violation at the exact offending record index.
-     */
-    class RecordCursor
-    {
-      public:
-        /**
-         * Decodes the next record into @p out. Returns false once all
-         * recordCount() records have been yielded — at which point the
-         * cursor has also verified that the mapping holds no trailing
-         * bytes. fatal()s on truncation and malformed records.
-         */
-        bool next(TraceRecord &out);
-
-        /** Records yielded so far. */
-        std::uint64_t index() const { return index_; }
-
-      private:
-        friend class MappedTraceReader;
-        RecordCursor(const MappedTraceReader &reader,
-                     const unsigned char *begin,
-                     const unsigned char *end)
-            : reader_(reader), cursor_(begin, end, "mapped trace")
-        {
-        }
-
-        const MappedTraceReader &reader_;
-        VarintCursor cursor_;
-        std::uint64_t index_ = 0;
-        Tick prevIssued_ = 0;
-    };
+    /** Allocation-free record cursor over the mapping. */
+    using RecordCursor = TraceDecoder::Cursor;
 
     /** A fresh cursor positioned at the first record. */
-    RecordCursor records() const;
+    RecordCursor records() const { return decoder_.records(); }
 
     /**
      * Walks every record once, discarding them — forces the full
@@ -121,21 +77,25 @@ class MappedTraceReader
 
     /**
      * Copies the mapped trace into an owning Trace — the bridge to
-     * consumers of the PR 4 API (Replayer, analyzers). Byte-for-byte
-     * equivalent to TraceReader::read() on the same file.
+     * consumers of the Trace API (Replayer, analyzers).
      */
-    Trace materialize() const;
+    Trace materialize() const { return decoder_.decode(); }
 
   private:
-    std::string path_;
-    const unsigned char *map_ = nullptr; ///< mmap base (whole file)
-    std::size_t mapBytes_ = 0;
-    const unsigned char *recordsBegin_ = nullptr; ///< first record byte
+    /** The read-only whole-file mapping; unmapped on destruction. */
+    struct Mapping
+    {
+        explicit Mapping(const std::string &path);
+        ~Mapping();
+        Mapping(const Mapping &) = delete;
+        Mapping &operator=(const Mapping &) = delete;
 
-    std::uint32_t numUnits_ = 0;
-    std::uint32_t coresPerUnit_ = 0;
-    std::uint64_t recordCount_ = 0;
-    std::vector<TracePrimitive> primitives_;
+        const unsigned char *base = nullptr;
+        std::size_t bytes = 0;
+    };
+
+    Mapping map_; ///< declared before decoder_, which borrows it
+    TraceDecoder decoder_;
 };
 
 } // namespace syncron::trace

@@ -1,22 +1,19 @@
 /**
  * @file
  * The trace container's integer encodings — LEB128 varints and the
- * zigzag mapping for signed deltas — shared by every consumer of the
- * `SYNCTRC` byte layout: the streaming TraceWriter/TraceReader
- * (iostreams), the zero-copy MappedTraceReader (bounds-checked reads
- * from an mmap'd buffer), and the tracenet wire marshaller (append to /
- * cursor over in-memory frame payloads). Single-sourcing them here is
- * what lets the wire protocol's frame header reuse the container's
- * encoding byte-for-byte.
+ * zigzag mapping for signed deltas. This header is their only home (the
+ * contract lint's varint-home rule enforces it): encodeTrace() and the
+ * SYNCDUR image header write through putVarint(), and every decode —
+ * the SYNCTRC TraceDecoder and the SYNCDUR header — reads through the
+ * bounds-checked VarintCursor over a byte buffer or an mmap'd file.
  */
 
 #ifndef SYNCRON_TRACE_VARINT_HH
 #define SYNCRON_TRACE_VARINT_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <istream>
 #include <ostream>
-#include <string>
 
 #include "common/log.hh"
 
@@ -31,33 +28,6 @@ putVarint(std::ostream &os, std::uint64_t v)
         v >>= 7;
     }
     os.put(static_cast<char>(v));
-}
-
-/** Reads one LEB128 varint from @p is; fatal() on EOF or overlength. */
-inline std::uint64_t
-getVarint(std::istream &is)
-{
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        const int byte = is.get();
-        if (byte == std::istream::traits_type::eof())
-            SYNCRON_FATAL("trace truncated inside a varint");
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return v;
-    }
-    SYNCRON_FATAL("trace varint longer than 64 bits (corrupt stream)");
-}
-
-/** Appends @p v to the byte buffer @p buf as a LEB128 varint. */
-inline void
-appendVarint(std::string &buf, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        buf.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    buf.push_back(static_cast<char>(v));
 }
 
 /** Maps a signed delta onto the varint-friendly zigzag encoding. */
@@ -78,11 +48,10 @@ unzigzag(std::uint64_t v)
 
 /**
  * Bounds-checked varint cursor over a borrowed byte range — the
- * allocation-free read primitive under both the mmap'd trace reader and
- * the frame-payload unmarshaller. Every read is range-checked against
- * the end of the buffer; @p what names the enclosing structure in the
- * truncation fatal so a corrupt mmap'd corpus file and a malformed
- * network frame each produce a self-describing error.
+ * allocation-free read primitive under every container decoder. Every
+ * read is range-checked against the end of the buffer; @p what names
+ * the input in the truncation fatal so each corrupt file produces a
+ * self-describing error.
  */
 class VarintCursor
 {
@@ -101,7 +70,7 @@ class VarintCursor
 
     bool atEnd() const { return cur_ == end_; }
 
-    /** Current position (for offset-based resumption). */
+    /** Current position (where the next read starts). */
     const unsigned char *position() const { return cur_; }
 
     /** Reads one varint; fatal() when the buffer ends inside it. */
@@ -113,23 +82,15 @@ class VarintCursor
             if (cur_ == end_)
                 SYNCRON_FATAL(what_ << " truncated inside a varint");
             const unsigned char byte = *cur_++;
+            // The tenth byte holds bit 63 only; more payload would be
+            // dropped by the shift, not decoded.
+            if (shift == 63 && (byte & 0x7f) > 1)
+                break;
             v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
             if ((byte & 0x80) == 0)
                 return v;
         }
         SYNCRON_FATAL(what_ << " varint longer than 64 bits (corrupt)");
-    }
-
-    /** Reads @p n raw bytes; fatal() when fewer remain. */
-    const unsigned char *
-    getBytes(std::size_t n)
-    {
-        if (remaining() < n)
-            SYNCRON_FATAL(what_ << " truncated inside a " << n
-                                << "-byte field");
-        const unsigned char *p = cur_;
-        cur_ += n;
-        return p;
     }
 
   private:

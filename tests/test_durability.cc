@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "durability/image.hh"
 #include "durability/manager.hh"
@@ -116,6 +117,16 @@ TEST(PersistedImage, ReaderRejectsCorruption)
         EXPECT_THROW(readImage(in), std::runtime_error);
     }
     {
+        // An epoch size past 32 bits must not wrap: the one-byte
+        // epochOps varint (8) after magic, version and mode becomes
+        // 2^32.
+        ASSERT_EQ(good[sizeof(kImageMagic) + 2], '\x08');
+        std::string wide = good;
+        wide.replace(sizeof(kImageMagic) + 2, 1, "\x80\x80\x80\x80\x10");
+        std::stringstream in(wide);
+        EXPECT_THROW(readImage(in), std::runtime_error);
+    }
+    {
         // appended must cover the durable records: the writer refuses
         // to emit such an image in the first place...
         PersistedImage bad = img;
@@ -141,6 +152,41 @@ TEST(PersistedImage, ReaderRejectsCorruption)
         forged[at] = 1; // appended = 1 < 3 durable records
         std::stringstream in(forged);
         EXPECT_THROW(readImage(in), std::runtime_error);
+    }
+}
+
+TEST(PersistedImage, EmbedsATraceContainer)
+{
+    // v2 layout: the SYNCDUR header, then a SYNCTRC container that the
+    // stock trace reader decodes on its own.
+    const PersistedImage img = sampleImage();
+    std::stringstream ss;
+    writeImage(ss, img);
+    const std::string bytes = ss.str();
+    const std::size_t at = bytes.find("SYNCTRC");
+    ASSERT_NE(at, std::string::npos);
+    std::istringstream body(bytes.substr(at));
+    const trace::Trace wal = trace::TraceReader(body).read();
+    EXPECT_EQ(wal.numUnits, img.numUnits);
+    EXPECT_EQ(wal.clientCoresPerUnit, img.clientCoresPerUnit);
+    EXPECT_EQ(wal.primitives, img.primitives);
+    EXPECT_EQ(wal.records, img.records);
+}
+
+TEST(PersistedImage, RejectsVersion1ByName)
+{
+    std::stringstream ss;
+    writeImage(ss, sampleImage());
+    std::string v1 = ss.str();
+    v1[sizeof(kImageMagic)] = '\x01'; // version varint after the magic
+    std::stringstream in(v1);
+    try {
+        readImage(in);
+        FAIL() << "a version-1 image was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("version 1"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -188,24 +188,68 @@ TEST(TraceFormat, RejectsTruncation)
     }
 }
 
+/** LEB128 by hand, to forge containers the writer would refuse. */
+std::string
+vint(std::uint64_t v)
+{
+    std::string s;
+    while (v >= 0x80) {
+        s.push_back(static_cast<char>((v & 0x7f) | 0x80));
+        v >>= 7;
+    }
+    s.push_back(static_cast<char>(v));
+    return s;
+}
+
 TEST(TraceFormat, RejectsCorruptCountsCleanly)
 {
     // An absurd count varint must fail as a clean trace fatal
     // (std::runtime_error) inside the read loop — not as a giant
     // up-front reserve() throwing std::length_error / bad_alloc.
-    auto vint = [](std::uint64_t v) {
-        std::string s;
-        while (v >= 0x80) {
-            s.push_back(static_cast<char>((v & 0x7f) | 0x80));
-            v >>= 7;
-        }
-        s.push_back(static_cast<char>(v));
-        return s;
-    };
     std::string bytes(kTraceMagic.begin(), kTraceMagic.end());
     bytes += vint(kTraceVersion) + vint(1) + vint(1);
     bytes += vint(1ULL << 60); // primitive count, then EOF
     EXPECT_THROW(decode(bytes), std::runtime_error);
+}
+
+TEST(TraceFormat, RejectsWideFieldsInsteadOfWrapping)
+{
+    // A 1-unit, 1-core machine with one lock and one lock_acquire; each
+    // case swaps one field for a value that only fits after narrowing
+    // or overflowing, and the reader must reject it rather than wrap
+    // it into range.
+    const std::string magic(kTraceMagic.begin(), kTraceMagic.end());
+    auto container = [&](std::uint64_t units, std::uint64_t home,
+                         std::uint64_t param, std::string records) {
+        return magic + vint(kTraceVersion) + vint(units) + vint(1)
+               + vint(1) + vint(0) + vint(home) + vint(param) + vint(0)
+               + records;
+    };
+    auto record = [](std::uint64_t delta, std::uint64_t core,
+                     std::uint64_t prim) {
+        return vint(delta) + vint(5) + vint(core) + vint(0) + vint(prim);
+    };
+    const std::uint64_t k2p32 = 1ULL << 32;
+    const std::string one = vint(1) + record(zigzag(10), 0, 0);
+    ASSERT_EQ(decode(container(1, 0, 0, one)).records.size(), 1u);
+
+    EXPECT_THROW(decode(container(1, 0, 0, vint(1) + record(20, 0, k2p32))),
+                 std::runtime_error);
+    EXPECT_THROW(decode(container(1, 0, 0, vint(1) + record(20, k2p32, 0))),
+                 std::runtime_error);
+    EXPECT_THROW(decode(container(1, k2p32, 0, one)), std::runtime_error);
+    EXPECT_THROW(decode(container(1, 0, k2p32, one)), std::runtime_error);
+    EXPECT_THROW(decode(container(k2p32, 0, 0, one)), std::runtime_error);
+    // A ten-byte varint with payload above bit 63 (here: core 2^64).
+    const std::string core2p64 = std::string(9, '\x80') + '\x02';
+    EXPECT_THROW(decode(container(1, 0, 0,
+                                  vint(1) + vint(20) + vint(5) + core2p64
+                                      + vint(0) + vint(0))),
+                 std::runtime_error);
+    // Two forward deltas of 2^62 put the second issue tick at 2^63.
+    const std::string pastMax = vint(2) + record(zigzag(1LL << 62), 0, 0)
+                                + record(zigzag(1LL << 62), 0, 0);
+    EXPECT_THROW(decode(container(1, 0, 0, pastMax)), std::runtime_error);
 }
 
 TEST(TraceFormat, RejectsTrailingGarbage)
@@ -429,6 +473,39 @@ TEST(TraceCaptureReplay, ReplayerRejectsMismatchedMachineShape)
     const SystemConfig wrong =
         SystemConfig::make(Scheme::SynCron, 4, 4);
     EXPECT_THROW(harness::runTrace(wrong, t), std::runtime_error);
+}
+
+TEST(TraceCaptureReplay, ForeignReleaseThrowsInsteadOfTerminating)
+{
+    // Core 1 releases lock 0, which core 0 holds, while core 0's
+    // acquire of lock 1 (held by core 1) is still in flight. The
+    // backend rejects the release with a panic; the unwind destroys
+    // core 0's pending SyncFuture, which must not panic a second time
+    // and end the process: runTrace() throws the first panic instead.
+    Trace t;
+    t.numUnits = 1;
+    t.clientCoresPerUnit = 2;
+    t.primitives = {TracePrimitive{}, TracePrimitive{}};
+    auto rec = [](std::uint32_t core, sync::OpKind kind, std::uint32_t prim,
+                  Tick issued) {
+        TraceRecord r;
+        r.issued = issued;
+        r.completed = issued + 10;
+        r.core = core;
+        r.kind = kind;
+        r.prim = prim;
+        return r;
+    };
+    t.records = {rec(0, sync::OpKind::LockAcquire, 0, 100),
+                 rec(1, sync::OpKind::LockAcquire, 1, 110),
+                 rec(0, sync::OpKind::LockAcquire, 1, 200),
+                 rec(1, sync::OpKind::LockRelease, 0, 300)};
+
+    for (Scheme scheme : {Scheme::SynCron, Scheme::Central}) {
+        EXPECT_THROW(harness::runTrace(replayConfig(t, scheme), t),
+                     std::logic_error)
+            << schemeName(scheme);
+    }
 }
 
 TEST(TraceCaptureReplay, ReplayIsDeterministic)

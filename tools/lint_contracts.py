@@ -32,15 +32,13 @@ seconds and are wired into CI ahead of the build:
                        PM domain; other simulation code goes through
                        SystemConfig::persistMode and the durability
                        manager.
-  7. tracenet-scope    The POSIX socket API is confined to
-                       src/tracenet/ (the trace-service transport) —
-                       everything else talks through tracenet::Transport
-                       so timeouts, partial sends, and EINTR handling
-                       live in exactly one place. Matched on socket
-                       headers and unambiguous API tokens (socketpair,
-                       AF_INET, sockaddr_in...), not the bare word
-                       "socket", which legitimately appears as the
-                       NUMA-socket concept in coherence code.
+  7. varint-home      LEB128 encoding and decoding live in
+                       src/trace/varint.hh only: the SYNCTRC and
+                       SYNCDUR containers share one codec, so no other
+                       file under src/ may define a *Varint function or
+                       spell out the `& 0x7f` / `| 0x80` byte loop.
+                       Tests are exempt (they build raw varints by hand
+                       to forge corrupt inputs).
   8. shard-scope       Under --sim-shards the machine has one timing
                        wheel per shard and only the PDES coordinator
                        may touch a queue it does not own. Scheduling on
@@ -79,12 +77,8 @@ PERSIST_HOOK_RE = re.compile(r"\bPersistHook\b")
 SHARD0_SCHEDULE_RE = re.compile(
     r"\beq\s*\(\s*\)\s*\.\s*schedule(In)?\s*\(")
 SHARD_QUEUES_RE = re.compile(r"\bshardQueues\s*\(\s*\)")
-SOCKET_INCLUDE_RE = re.compile(
-    r'^\s*#\s*include\s+<(sys/socket\.h|netinet/[\w.]+|arpa/inet\.h)>',
-    re.MULTILINE)
-SOCKET_TOKEN_RE = re.compile(
-    r"\b(socketpair|AF_INET|AF_UNIX|SOCK_STREAM|sockaddr_in"
-    r"|getsockname|setsockopt)\b")
+VARINT_BITS_RE = re.compile(r"[&|]\s*0x(7f|80)\b", re.IGNORECASE)
+VARINT_DEF_RE = re.compile(r"\b(\w*Varint)\s*\([^()]*\)\s*(const\s*)?\{")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once", re.MULTILINE)
 RELATIVE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"\.\./', re.MULTILINE)
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)", re.MULTILINE)
@@ -104,8 +98,8 @@ STD_FUNCTION_ALLOW = {
     "src/common/stats.cc",
     "src/sync/registry.hh",            # backend factory, cold
 }
-# The one component allowed to speak the raw socket API.
-TRACENET_SCOPE_ALLOW_PREFIXES = ("src/tracenet/",)
+# The single home of the LEB128 codec.
+VARINT_HOME = "src/trace/varint.hh"
 # Directory prefixes where the persist hooks legitimately live: the
 # durability subsystem defines them, the SynCron engine invokes them.
 PERSIST_SCOPE_ALLOW_PREFIXES = ("src/durability/", "src/syncron/")
@@ -195,16 +189,16 @@ def lint_tree(root):
                        "+ src/syncron/ - wire through "
                        "DurabilityManager, not the raw hook")
 
-        if not rel.startswith(TRACENET_SCOPE_ALLOW_PREFIXES):
-            for m in SOCKET_INCLUDE_RE.finditer(text):
-                report(rel, line_of(text, m), "tracenet-scope",
-                       "socket header included outside src/tracenet/ - "
-                       "go through tracenet::Transport / Listener")
-            for m in SOCKET_TOKEN_RE.finditer(text):
-                report(rel, line_of(text, m), "tracenet-scope",
-                       "raw socket API ('%s') outside src/tracenet/ - "
-                       "go through tracenet::Transport / Listener"
-                       % m.group(1))
+        if rel.startswith("src/") and rel != VARINT_HOME:
+            for m in VARINT_BITS_RE.finditer(text):
+                report(rel, line_of(text, m), "varint-home",
+                       "LEB128 byte loop outside %s - use putVarint() / "
+                       "VarintCursor" % VARINT_HOME)
+            for m in VARINT_DEF_RE.finditer(text):
+                report(rel, line_of(text, m), "varint-home",
+                       "varint function '%s' defined outside %s - one "
+                       "codec for every container" % (m.group(1),
+                                                      VARINT_HOME))
 
         if (rel.startswith("src/")
                 and not rel.startswith(SHARD_SCOPE_ALLOW_PREFIXES)
@@ -257,9 +251,10 @@ FIXTURES = [
      "#include <functional>\nstd::function<void()> f;\n"),
     ("header-hygiene", "src/fixture.hh",
      "#pragma once\n#include \"../common/log.hh\"\n"),
-    ("tracenet-scope", "src/fixture.cc",
-     "#include <sys/socket.h>\n"
-     "int f(){int sv[2];return socketpair(AF_UNIX,SOCK_STREAM,0,sv);}\n"),
+    ("varint-home", "src/fixture.cc",
+     "void\nputVarint(std::string &b, std::uint64_t v)\n{\n"
+     "    while (v >= 0x80) { b.push_back((v & 0x7f) | 0x80); v >>= 7; }\n"
+     "}\n"),
     ("persist-scope", "src/fixture.cc",
      "void f(durability::PersistHook &h) { h.persistCounter(0, 0); }\n"),
     ("shard-scope", "src/fixture.cc",
