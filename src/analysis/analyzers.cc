@@ -19,15 +19,59 @@ primName(std::uint64_t prim)
 
 } // namespace
 
+AnalysisEngine::AnalysisEngine(MachineShape shape)
+    : shape_(shape),
+      held_(shape.totalClientCores()),
+      outstanding_(shape.totalClientCores(), 0),
+      inflightAcquires_(shape.totalClientCores()),
+      preIssuedReleases_(shape.totalClientCores())
+{
+}
+
+// --------------------------------------------------------------------
+// Per-core pending lists
+// --------------------------------------------------------------------
+
+void
+AnalysisEngine::bump(PrimCounts &counts, std::uint64_t prim)
+{
+    for (PrimCount &c : counts) {
+        if (c.prim == prim) {
+            ++c.count;
+            return;
+        }
+    }
+    counts.push_back(PrimCount{prim, 1});
+}
+
+bool
+AnalysisEngine::consume(PrimCounts &counts, std::uint64_t prim)
+{
+    for (PrimCount &c : counts) {
+        if (c.prim != prim)
+            continue;
+        if (--c.count == 0) {
+            c = counts.back();
+            counts.pop_back();
+        }
+        return true;
+    }
+    return false;
+}
+
+bool
+AnalysisEngine::contains(const PrimCounts &counts, std::uint64_t prim)
+{
+    for (const PrimCount &c : counts) {
+        if (c.prim == prim)
+            return true;
+    }
+    return false;
+}
+
 // --------------------------------------------------------------------
 // Shared held-lock tracking
 // --------------------------------------------------------------------
-
-std::vector<AnalysisEngine::HeldLock> &
-AnalysisEngine::heldOf(std::uint32_t core)
-{
-    return held_[core];
-}
 
 bool
 AnalysisEngine::removeHeld(std::uint32_t core, std::uint64_t prim)
@@ -54,17 +98,20 @@ AnalysisEngine::noteCrashRecovery(Tick tick,
     crashSeen_ = true;
     crashTick_ = tick;
     stalePrims_ = seenPrims_;
-    for (std::uint64_t prim : reminted)
-        stalePrims_.erase(prim);
+    for (std::uint64_t prim : reminted) {
+        if (prim < stalePrims_.size())
+            stalePrims_[static_cast<std::size_t>(prim)] = false;
+    }
 }
 
 void
 AnalysisEngine::lintStaleGeneration(const OpEvent &ev, Tick tick)
 {
-    if (!crashSeen_ || !stalePrims_.count(ev.prim)
-        || !staleReported_.insert(ev.prim).second) {
+    if (!crashSeen_ || !test(stalePrims_, ev.prim)
+        || test(staleReported_, ev.prim)) {
         return;
     }
+    mark(staleReported_, ev.prim);
     Finding f;
     f.kind = FindingKind::StaleGenerationUse;
     std::ostringstream os;
@@ -87,9 +134,9 @@ AnalysisEngine::onIssue(const OpEvent &ev)
 {
     SYNCRON_ASSERT(!finished_, "analysis event after finish()");
     sawIssues_ = true;
-    ++outstanding_[ev.core];
+    ++slot(outstanding_, ev.core);
     lintStaleGeneration(ev, ev.issued);
-    seenPrims_.insert(ev.prim);
+    mark(seenPrims_, ev.prim);
 
     switch (ev.kind) {
       case sync::OpKind::LockAcquire:
@@ -98,7 +145,7 @@ AnalysisEngine::onIssue(const OpEvent &ev)
         // a superset of nothing: a completed acquire adds the same
         // edges again and the per-edge map keeps the first witness.
         addOrderEdges(ev.core, ev.prim, ev.issued);
-        ++inflightAcquires_[{ev.core, ev.prim}];
+        bump(slot(inflightAcquires_, ev.core), ev.prim);
         break;
       case sync::OpKind::LockRelease:
         // The SE commits a release when it is issued; pipelined record
@@ -122,28 +169,21 @@ AnalysisEngine::onComplete(const OpEvent &ev)
 {
     SYNCRON_ASSERT(!finished_, "analysis event after finish()");
     if (sawIssues_)
-        --outstanding_[ev.core];
+        --slot(outstanding_, ev.core);
     lintStaleGeneration(ev, ev.completed);
-    seenPrims_.insert(ev.prim);
+    mark(seenPrims_, ev.prim);
 
     switch (ev.kind) {
       case sync::OpKind::LockAcquire: {
-        if (auto it = inflightAcquires_.find({ev.core, ev.prim});
-            it != inflightAcquires_.end() && --it->second == 0) {
-            inflightAcquires_.erase(it);
-        }
+        consume(slot(inflightAcquires_, ev.core), ev.prim);
         lintAcquire(ev);
         addOrderEdges(ev.core, ev.prim, ev.completed);
         heldOf(ev.core).push_back(HeldLock{ev.prim, ev.completed});
         // A coalesced acquire+release pair: the release was issued
         // while this acquire was still in flight and parked; commit it
         // now that the grant has landed.
-        if (auto it = preIssuedReleases_.find({ev.core, ev.prim});
-            it != preIssuedReleases_.end()) {
-            if (--it->second == 0)
-                preIssuedReleases_.erase(it);
+        if (consume(slot(preIssuedReleases_, ev.core), ev.prim))
             commitRelease(ev.core, ev.prim, ev.completed);
-        }
         break;
       }
 
@@ -160,7 +200,7 @@ AnalysisEngine::onComplete(const OpEvent &ev)
         break;
 
       case sync::OpKind::SemWait: {
-        SemState &s = sems_[ev.prim];
+        SemState &s = slot(sems_, ev.prim);
         if (!s.initKnown) {
             s.initKnown = true;
             s.initial = ev.resources;
@@ -175,7 +215,7 @@ AnalysisEngine::onComplete(const OpEvent &ev)
         // grant they enabled can be recorded in between. The finish()
         // balance replay merges posts and grants by tick, so record
         // order never skews the accounting.
-        sems_[ev.prim].postTicks.push_back(ev.issued);
+        slot(sems_, ev.prim).postTicks.push_back(ev.issued);
         break;
 
       case sync::OpKind::CondWait: {
@@ -197,7 +237,7 @@ AnalysisEngine::onComplete(const OpEvent &ev)
         }
         addOrderEdges(ev.core, ev.assoc, ev.completed);
         heldOf(ev.core).push_back(HeldLock{ev.assoc, ev.completed});
-        takeOwnership(locks_[ev.assoc], ev.core, ev.completed);
+        takeOwnership(slot(locks_, ev.assoc), ev.core, ev.completed);
         break;
       }
 
@@ -231,7 +271,7 @@ AnalysisEngine::lintAcquire(const OpEvent &ev)
     // record is still pending. Releases carry the checkable invariant;
     // a displaced owner goes on the pending-release list so its delayed
     // record is matched, not flagged.
-    takeOwnership(locks_[ev.prim], ev.core, ev.completed);
+    takeOwnership(slot(locks_, ev.prim), ev.core, ev.completed);
 }
 
 void
@@ -245,8 +285,8 @@ AnalysisEngine::commitRelease(std::uint32_t core, std::uint64_t prim,
     bool held = false;
     for (const HeldLock &h : heldOf(core))
         held = held || h.prim == prim;
-    if (!held && inflightAcquires_.count({core, prim}) != 0) {
-        ++preIssuedReleases_[{core, prim}];
+    if (!held && contains(slot(inflightAcquires_, core), prim)) {
+        bump(slot(preIssuedReleases_, core), prim);
         return;
     }
 
@@ -263,7 +303,7 @@ AnalysisEngine::commitRelease(std::uint32_t core, std::uint64_t prim,
 void
 AnalysisEngine::lintRelease(const OpEvent &ev)
 {
-    LockState &s = locks_[ev.prim];
+    LockState &s = slot(locks_, ev.prim);
     if (s.owned && s.owner == ev.core) {
         s.owned = false;
         s.everReleased = true;
@@ -313,7 +353,7 @@ AnalysisEngine::lintRelease(const OpEvent &ev)
 void
 AnalysisEngine::lintBarrier(const OpEvent &ev)
 {
-    BarrierState &b = barriers_[ev.prim];
+    BarrierState &b = slot(barriers_, ev.prim);
     if (b.reported)
         return;
 
@@ -357,7 +397,8 @@ AnalysisEngine::lintBarrier(const OpEvent &ev)
 void
 AnalysisEngine::checkSemaphores(AnalysisReport &report)
 {
-    for (auto &[prim, s] : sems_) {
+    for (std::uint64_t prim = 0; prim < sems_.size(); ++prim) {
+        SemState &s = sems_[prim];
         if (s.grants.empty())
             continue;
         std::sort(s.postTicks.begin(), s.postTicks.end());
@@ -411,7 +452,8 @@ AnalysisEngine::addOrderEdges(std::uint32_t core, std::uint64_t to,
     for (const HeldLock &h : heldOf(core)) {
         if (h.prim == to)
             continue;
-        order_[h.prim].emplace(to, EdgeWitness{core, h.since, toTick});
+        slot(order_, h.prim).emplace(to,
+                                     EdgeWitness{core, h.since, toTick});
     }
 }
 
@@ -421,8 +463,7 @@ namespace {
 struct CycleFinder
 {
     using Graph =
-        std::map<std::uint64_t,
-                 std::map<std::uint64_t, AnalysisEngine::EdgeWitness>>;
+        std::vector<std::map<std::uint64_t, AnalysisEngine::EdgeWitness>>;
 
     explicit CycleFinder(const Graph &graph) : graph(graph) {}
 
@@ -436,9 +477,8 @@ struct CycleFinder
     {
         color[node] = 1;
         path.push_back(node);
-        auto it = graph.find(node);
-        if (it != graph.end()) {
-            for (const auto &[next, witness] : it->second) {
+        if (node < graph.size()) {
+            for (const auto &[next, witness] : graph[node]) {
                 const int c = color[next];
                 if (c == 0) {
                     visit(next);
@@ -466,8 +506,8 @@ void
 AnalysisEngine::reportCycles(AnalysisReport &report)
 {
     CycleFinder finder(order_);
-    for (const auto &[node, edges] : order_) {
-        if (finder.color[node] == 0)
+    for (std::uint64_t node = 0; node < order_.size(); ++node) {
+        if (!order_[node].empty() && finder.color[node] == 0)
             finder.visit(node);
     }
 
@@ -483,7 +523,7 @@ AnalysisEngine::reportCycles(AnalysisReport &report)
         for (std::size_t i = 0; i < cycle.size(); ++i) {
             const std::uint64_t from = cycle[i];
             const std::uint64_t to = cycle[(i + 1) % cycle.size()];
-            const EdgeWitness &w = order_.at(from).at(to);
+            const EdgeWitness &w = order_[from].at(to);
             if (i == 0) {
                 f.core = w.core;
                 f.tick = w.toTick;
@@ -593,7 +633,8 @@ AnalysisEngine::finish()
     reportCycles(report_);
     checkSemaphores(report_);
 
-    for (const auto &[prim, s] : locks_) {
+    for (std::uint64_t prim = 0; prim < locks_.size(); ++prim) {
+        const LockState &s = locks_[prim];
         if (!s.owned)
             continue;
         Finding f;
@@ -608,7 +649,8 @@ AnalysisEngine::finish()
     }
 
     if (sawIssues_) {
-        for (const auto &[core, count] : outstanding_) {
+        for (std::uint32_t core = 0; core < outstanding_.size(); ++core) {
+            const std::int64_t count = outstanding_[core];
             if (count <= 0)
                 continue;
             Finding f;

@@ -39,6 +39,13 @@
  * simulation-event order (per core this is program order — the cores
  * are in-order). Primitive identities are dense ids, never recycled
  * within one engine's lifetime.
+ *
+ * Both kinds of key are dense from 0 — core ids are client-core
+ * indices, primitive ids the trace table's or the live observer's
+ * minted ids — so per-core and per-primitive state lives in vectors
+ * indexed by id (grown on first use) and the seen/stale sets are bit
+ * vectors. Reports walk those vectors in id order, which is the order
+ * the findings always came in.
  */
 
 #ifndef SYNCRON_ANALYSIS_ANALYZERS_HH
@@ -47,7 +54,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/report.hh"
@@ -86,7 +93,7 @@ struct OpEvent
 class AnalysisEngine
 {
   public:
-    explicit AnalysisEngine(MachineShape shape) : shape_(shape) {}
+    explicit AnalysisEngine(MachineShape shape);
 
     /** First witness of one held-before edge (public for reporting). */
     struct EdgeWitness
@@ -128,6 +135,46 @@ class AnalysisEngine
     AnalysisReport finish();
 
   private:
+    // -- Dense-id state --------------------------------------------------
+    /** The slot for dense id @p id, growing @p v to hold it. */
+    template <typename T>
+    static T &
+    slot(std::vector<T> &v, std::uint64_t id)
+    {
+        if (id >= v.size())
+            v.resize(static_cast<std::size_t>(id) + 1);
+        return v[static_cast<std::size_t>(id)];
+    }
+
+    /** Whether bit @p id of @p bits is set (unset past the end). */
+    static bool
+    test(const std::vector<bool> &bits, std::uint64_t id)
+    {
+        return id < bits.size() && bits[static_cast<std::size_t>(id)];
+    }
+
+    /** Sets bit @p id of @p bits, growing it to hold the bit. */
+    static void
+    mark(std::vector<bool> &bits, std::uint64_t id)
+    {
+        if (id >= bits.size())
+            bits.resize(static_cast<std::size_t>(id) + 1);
+        bits[static_cast<std::size_t>(id)] = true;
+    }
+
+    /** A per-primitive count in one core's small pending list. */
+    struct PrimCount
+    {
+        std::uint64_t prim;
+        unsigned count;
+    };
+    using PrimCounts = std::vector<PrimCount>;
+
+    static void bump(PrimCounts &counts, std::uint64_t prim);
+    /** Decrements @p prim's count (dropping it at 0); false if absent. */
+    static bool consume(PrimCounts &counts, std::uint64_t prim);
+    static bool contains(const PrimCounts &counts, std::uint64_t prim);
+
     // -- Shared held-lock tracking -------------------------------------
     struct HeldLock
     {
@@ -135,7 +182,14 @@ class AnalysisEngine
         Tick since; ///< acquisition completion tick
     };
 
-    std::vector<HeldLock> &heldOf(std::uint32_t core);
+    /**
+     * @p core's held locks. The reference lives until the next call
+     * that can grow held_ — another heldOf() for a new core id.
+     */
+    std::vector<HeldLock> &heldOf(std::uint32_t core)
+    {
+        return slot(held_, core);
+    }
     bool removeHeld(std::uint32_t core, std::uint64_t prim);
 
     // -- Lock-order analyzer -------------------------------------------
@@ -230,32 +284,36 @@ class AnalysisEngine
     AnalysisReport report_;
     bool finished_ = false;
 
-    std::map<std::uint32_t, std::vector<HeldLock>> held_;
-    /// held-before graph: from -> (to -> first witness)
-    std::map<std::uint64_t, std::map<std::uint64_t, EdgeWitness>> order_;
-    std::map<std::uint64_t, LockState> locks_;
-    std::map<std::uint64_t, BarrierState> barriers_;
-    std::map<std::uint64_t, SemState> sems_;
-    std::map<Addr, ShadowWord> shadow_;
-    /// live only: per-core outstanding (issued - completed) op count
-    std::map<std::uint32_t, std::int64_t> outstanding_;
-    /// live only: (core, lock) -> acquires issued but not yet completed
-    std::map<std::pair<std::uint32_t, std::uint64_t>, unsigned>
-        inflightAcquires_;
-    /// live only: (core, lock) -> releases issued before their own
-    /// acquire completed (coalesced pairs); consumed at that completion
-    std::map<std::pair<std::uint32_t, std::uint64_t>, unsigned>
-        preIssuedReleases_;
+    // Per core (dense client-core index).
+    std::vector<std::vector<HeldLock>> held_;
+    /// live only: outstanding (issued - completed) op count
+    std::vector<std::int64_t> outstanding_;
+    /// live only: lock -> acquires issued but not yet completed
+    std::vector<PrimCounts> inflightAcquires_;
+    /// live only: lock -> releases issued before their own acquire
+    /// completed (coalesced pairs); consumed at that completion
+    std::vector<PrimCounts> preIssuedReleases_;
+
+    // Per primitive (dense id).
+    std::vector<LockState> locks_;
+    std::vector<BarrierState> barriers_;
+    std::vector<SemState> sems_;
+    /// held-before graph: from -> (to -> first witness); reports walk
+    /// it in (from, to) order
+    std::vector<std::map<std::uint64_t, EdgeWitness>> order_;
+
+    /// Keyed by shadow address (not dense); looked up, never walked.
+    std::unordered_map<Addr, ShadowWord> shadow_;
     bool sawIssues_ = false;
 
     // -- Crash/recovery generation tracking ----------------------------
     /// every primitive identity seen so far (issue or completion)
-    std::set<std::uint64_t> seenPrims_;
+    std::vector<bool> seenPrims_;
     bool crashSeen_ = false;
     Tick crashTick_ = 0;
     /// identities live before the crash, minus those recovery re-minted
-    std::set<std::uint64_t> stalePrims_;
-    std::set<std::uint64_t> staleReported_;
+    std::vector<bool> stalePrims_;
+    std::vector<bool> staleReported_;
 };
 
 } // namespace syncron::analysis

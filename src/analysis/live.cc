@@ -44,6 +44,7 @@ void
 LiveAnalyzer::onIssue(CoreId core, const sync::SyncRequest &req,
                       Tick issued)
 {
+    ++events_;
     engine_.onIssue(toEvent(core, req, issued, issued));
 }
 
@@ -51,12 +52,14 @@ void
 LiveAnalyzer::onComplete(CoreId core, const sync::SyncRequest &req,
                          Tick issued, Tick completed)
 {
+    ++events_;
     engine_.onComplete(toEvent(core, req, issued, completed));
 }
 
 void
 LiveAnalyzer::onAccess(CoreId core, Addr addr, bool isWrite, Tick tick)
 {
+    ++events_;
     engine_.onAccess(cfg_.denseClientIndex(core), addr, isWrite, tick);
 }
 

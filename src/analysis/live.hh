@@ -66,6 +66,9 @@ class LiveAnalyzer final : public sync::OpObserver
     /** The report produced by finish() (empty before). */
     const AnalysisReport &report() const { return report_; }
 
+    /** Issue, completion and access events fed to the engine. */
+    std::uint64_t events() const { return events_; }
+
   private:
     OpEvent toEvent(CoreId core, const sync::SyncRequest &req,
                     Tick issued, Tick completed);
@@ -79,6 +82,7 @@ class LiveAnalyzer final : public sync::OpObserver
     bool finished_ = false;
     std::unordered_map<Addr, std::uint64_t> ids_;
     std::uint64_t nextId_ = 0;
+    std::uint64_t events_ = 0;
 };
 
 } // namespace syncron::analysis

@@ -19,14 +19,16 @@ writeImage(std::ostream &os, const PersistedImage &img)
                    "image appended count " << img.appended
                                            << " below durable count "
                                            << img.records.size());
-    os.write(kImageMagic, sizeof(kImageMagic));
-    trace::putVarint(os, kImageVersion);
-    trace::putVarint(os, static_cast<std::uint64_t>(img.mode));
-    trace::putVarint(os, img.epochOps);
-    trace::putVarint(os, img.crashTick);
-    trace::putVarint(os, img.appended);
-    trace::encodeTrace(os, img.numUnits, img.clientCoresPerUnit,
+    trace::VarintWriter out(os, "persisted image");
+    out.bytes(kImageMagic, sizeof(kImageMagic));
+    out.put(kImageVersion);
+    out.put(static_cast<std::uint64_t>(img.mode));
+    out.put(img.epochOps);
+    out.put(img.crashTick);
+    out.put(img.appended);
+    trace::encodeTrace(out, img.numUnits, img.clientCoresPerUnit,
                        img.primitives, img.records);
+    out.flush();
 }
 
 PersistedImage

@@ -56,12 +56,14 @@ DurabilityManager::persistStation(UnitId, Addr, std::uint64_t,
     // The WAL record itself is charged by onComplete(); the station
     // call is the correlation point (walSeq) and is counted for tests.
     ++stationPersists_;
+    ++hookCalls_;
     return done;
 }
 
 void
 DurabilityManager::persistTableEntry(UnitId, Addr, bool)
 {
+    ++hookCalls_;
     if (mode_ != PersistMode::Eager)
         return; // epoch flushes subsume the per-transition images
     ++machine_.stats().pmWrites;
@@ -71,6 +73,7 @@ DurabilityManager::persistTableEntry(UnitId, Addr, bool)
 void
 DurabilityManager::persistCounter(UnitId, Addr)
 {
+    ++hookCalls_;
     if (mode_ != PersistMode::Eager)
         return;
     ++machine_.stats().pmWrites;
@@ -80,6 +83,7 @@ DurabilityManager::persistCounter(UnitId, Addr)
 void
 DurabilityManager::persistMemVar(UnitId, Addr)
 {
+    ++hookCalls_;
     if (mode_ != PersistMode::Eager)
         return;
     ++machine_.stats().pmWrites;

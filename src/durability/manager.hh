@@ -85,6 +85,8 @@ class DurabilityManager final : public sync::OpObserver,
     std::uint64_t appended() const { return appended_; }
     std::uint64_t durable() const { return durable_; }
     std::uint64_t stationPersists() const { return stationPersists_; }
+    /** Observer callbacks taken: WAL appends plus persist-hook calls. */
+    std::uint64_t callbacks() const { return appended_ + hookCalls_; }
     PersistMode mode() const { return mode_; }
 
   private:
@@ -99,6 +101,7 @@ class DurabilityManager final : public sync::OpObserver,
     std::uint64_t staged_ = 0;
     std::uint64_t intentSeq_ = 0;
     std::uint64_t stationPersists_ = 0;
+    std::uint64_t hookCalls_ = 0; ///< persist-hook calls of any kind
     Tick crashTick_ = 0;
 };
 

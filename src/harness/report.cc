@@ -101,12 +101,14 @@ BenchReport::writeJson() const
     if (!f)
         SYNCRON_FATAL("cannot write --json file '" << opts_.json << "'");
 
-    std::uint64_t events = 0, heapPushes = 0, windows = 0, envelopes = 0;
+    std::uint64_t events = 0, heapPushes = 0, windows = 0, envelopes = 0,
+                  observerEvents = 0;
     for (const Record &r : records_) {
         events += r.out.hostEvents;
         heapPushes += r.out.hostHeapPushes;
         windows += r.out.hostWindows;
         envelopes += r.out.hostEnvelopes;
+        observerEvents += r.out.hostObserverEvents;
     }
     const double wallSec = static_cast<double>(wallNs_) * 1e-9;
 
@@ -135,6 +137,7 @@ BenchReport::writeJson() const
         .field("heapPushes", heapPushes)
         .field("windows", windows)
         .field("envelopes", envelopes)
+        .field("observerEvents", observerEvents)
         .endObject();
     j.key("configs");
     j.beginArray();
@@ -150,6 +153,7 @@ BenchReport::writeJson() const
         j.field("heapPushes", r.out.hostHeapPushes);
         j.field("windows", r.out.hostWindows);
         j.field("envelopes", r.out.hostEnvelopes);
+        j.field("observerEvents", r.out.hostObserverEvents);
         if (r.out.totalReqs > 0)
             j.field("overflowFrac", r.out.overflowFrac());
         if (r.out.offeredOps > 0) {

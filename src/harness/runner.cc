@@ -390,6 +390,7 @@ finishOutput(RunOutput &out, NdpSystem &sys)
     out.hostHeapPushes = sys.machine().heapPushes();
     out.hostWindows = sys.kernelWindows();
     out.hostEnvelopes = sys.machine().envelopes();
+    out.hostObserverEvents = sys.observerEvents();
     out.stats = sys.stats();
     out.energy = computeEnergy(sys.stats(), sys.config());
     if (engine::SynCronBackend *eng = sys.syncronBackend()) {

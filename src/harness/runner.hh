@@ -164,6 +164,9 @@ struct RunOutput
     std::uint64_t hostHeapPushes = 0; ///< schedules past the wheel horizon
     std::uint64_t hostWindows = 0;    ///< conservative-PDES windows
     std::uint64_t hostEnvelopes = 0;  ///< mailbox envelopes delivered
+    /// observer callbacks: trace-sink records, live-analyzer events,
+    /// durability WAL appends and persist-hook calls (0 with none on)
+    std::uint64_t hostObserverEvents = 0;
 
     /** Fig. 11 metric. */
     double opsPerMs() const;

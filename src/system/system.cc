@@ -197,6 +197,19 @@ NdpSystem::run()
     }
 }
 
+std::uint64_t
+NdpSystem::observerEvents() const
+{
+    std::uint64_t n = 0;
+    if (capture_)
+        n += capture_->trace().records.size();
+    if (analyzer_)
+        n += analyzer_->events();
+    if (durability_)
+        n += durability_->callbacks();
+    return n;
+}
+
 Tick
 NdpSystem::elapsed() const
 {

@@ -113,6 +113,14 @@ class NdpSystem
     std::uint64_t kernelWindows() const { return kernelWindows_; }
 
     /**
+     * Observer callbacks so far (host work, exact): records the trace
+     * capture took, events the live analyzer processed, and the
+     * durability manager's WAL appends and persist-hook calls. 0 when
+     * no observer is installed.
+     */
+    std::uint64_t observerEvents() const;
+
+    /**
      * The synchronization-operation capture installed when
      * SystemConfig::tracePath is set; nullptr when not tracing.
      */

@@ -101,35 +101,35 @@ checkedEnum(std::uint64_t raw, std::uint64_t last, const char *field,
 } // namespace
 
 void
-encodeTrace(std::ostream &os, std::uint32_t numUnits,
+encodeTrace(VarintWriter &out, std::uint32_t numUnits,
             std::uint32_t clientCoresPerUnit,
             std::span<const TracePrimitive> primitives,
             std::span<const TraceRecord> records)
 {
-    os.write(kTraceMagic.data(), kTraceMagic.size());
-    putVarint(os, kTraceVersion);
-    putVarint(os, numUnits);
-    putVarint(os, clientCoresPerUnit);
+    out.bytes(kTraceMagic.data(), kTraceMagic.size());
+    out.put(kTraceVersion);
+    out.put(numUnits);
+    out.put(clientCoresPerUnit);
 
-    putVarint(os, primitives.size());
+    out.put(primitives.size());
     for (const TracePrimitive &p : primitives) {
-        putVarint(os, static_cast<std::uint64_t>(p.kind));
-        putVarint(os, p.home);
-        putVarint(os, p.param);
-        putVarint(os, static_cast<std::uint64_t>(p.scope));
+        out.put(static_cast<std::uint64_t>(p.kind));
+        out.put(p.home);
+        out.put(p.param);
+        out.put(static_cast<std::uint64_t>(p.scope));
     }
 
-    putVarint(os, records.size());
+    out.put(records.size());
     Tick prevIssued = 0;
     for (const TraceRecord &r : records) {
         SYNCRON_ASSERT(r.completed >= r.issued,
                        "record completed before it was issued");
-        putVarint(os, zigzag(static_cast<std::int64_t>(r.issued)
-                             - static_cast<std::int64_t>(prevIssued)));
-        putVarint(os, r.completed - r.issued);
-        putVarint(os, r.core);
-        putVarint(os, static_cast<std::uint64_t>(r.kind));
-        putVarint(os, r.prim);
+        out.put(zigzag(static_cast<std::int64_t>(r.issued)
+                       - static_cast<std::int64_t>(prevIssued)));
+        out.put(r.completed - r.issued);
+        out.put(r.core);
+        out.put(static_cast<std::uint64_t>(r.kind));
+        out.put(r.prim);
         // v2: the associated lock is a mandatory cond_wait-only field;
         // consumers (the offline deadlock analyzer) rely on it, so an
         // unset or dangling value is a writer error, not a reader one.
@@ -140,7 +140,7 @@ encodeTrace(std::ostream &os, std::uint32_t numUnits,
                               "associated lock (assocPrim "
                               << r.assocPrim << ")");
             }
-            putVarint(os, r.assocPrim);
+            out.put(r.assocPrim);
         } else if (r.assocPrim != 0) {
             SYNCRON_FATAL("record carries an associated primitive but "
                           "is not a cond_wait ("
@@ -148,9 +148,6 @@ encodeTrace(std::ostream &os, std::uint32_t numUnits,
         }
         prevIssued = r.issued;
     }
-
-    if (!os)
-        SYNCRON_FATAL("stream error while writing trace");
 }
 
 TraceDecoder::TraceDecoder(const unsigned char *begin,
@@ -303,14 +300,37 @@ TraceDecoder::decode() const
 void
 TraceWriter::write(const Trace &trace)
 {
-    encodeTrace(os_, trace.numUnits, trace.clientCoresPerUnit,
+    VarintWriter out(os_, "trace");
+    encodeTrace(out, trace.numUnits, trace.clientCoresPerUnit,
                 trace.primitives, trace.records);
+    out.flush();
 }
 
 std::string
 readAllBytes(std::istream &is)
 {
+    // A seekable stream (a file, a string stream) reports how much is
+    // left, so the buffer is sized once and filled by one read; the
+    // chunk loop then only confirms the end (and carries the whole
+    // input for a stream that cannot seek, such as a pipe).
     std::string bytes;
+    const std::istream::pos_type here = is.tellg();
+    if (here != std::istream::pos_type(-1)) {
+        // tellg() succeeds only on a good stream, so clearing the
+        // state a failed probe left restores it as it was.
+        is.seekg(0, std::ios::end);
+        const std::istream::pos_type end = is.tellg();
+        is.clear();
+        is.seekg(here);
+        if (end != std::istream::pos_type(-1) && end > here) {
+            bytes.resize(static_cast<std::size_t>(end - here));
+            is.read(bytes.data(),
+                    static_cast<std::streamsize>(bytes.size()));
+            bytes.resize(static_cast<std::size_t>(is.gcount()));
+            if (!is.bad())
+                is.clear();
+        }
+    }
     char chunk[1 << 16];
     while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0)
         bytes.append(chunk, static_cast<std::size_t>(is.gcount()));

@@ -144,13 +144,14 @@ struct Trace
 };
 
 /**
- * Writes one complete container — header, primitive table, records —
- * to @p os from borrowed spans. fatal()s on stream errors and on
- * cond_wait records without a valid associated lock (and associated
- * locks on any other kind); panics on a record that completes before
- * it issues.
+ * Appends one complete container — header, primitive table, records —
+ * to @p out from borrowed spans; the caller flushes @p out (a SYNCDUR
+ * image writes its own header into the same writer first). fatal()s
+ * on cond_wait records without a valid associated lock (and
+ * associated locks on any other kind); panics on a record that
+ * completes before it issues.
  */
-void encodeTrace(std::ostream &os, std::uint32_t numUnits,
+void encodeTrace(VarintWriter &out, std::uint32_t numUnits,
                  std::uint32_t clientCoresPerUnit,
                  std::span<const TracePrimitive> primitives,
                  std::span<const TraceRecord> records);

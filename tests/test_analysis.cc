@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -316,6 +317,272 @@ TEST(AnalysisEngine, JsonReportCarriesKindAndWitness)
     std::ostringstream clean;
     AnalysisReport{}.writeJson(clean);
     EXPECT_NE(clean.str().find("true"), std::string::npos);
+}
+
+// --------------------------------------------------------------------
+// Golden report: finding order and text, engine and live observer
+// --------------------------------------------------------------------
+
+/** One step of the golden stream; ops issue at tick and complete one
+ *  tick later unless issueOnly. */
+struct GoldenStep
+{
+    sync::OpKind kind;
+    std::uint32_t core;
+    std::uint64_t prim; ///< dense id, in first-use order
+    Tick tick;
+    bool issueOnly = false;
+};
+
+constexpr std::uint64_t kLockA = 0, kLockB = 1, kLockC = 2, kSem = 3,
+                        kLockD = 4;
+constexpr Tick kGoldenCrashTick = 60;
+constexpr std::uint32_t kGoldenSemResources = 1;
+
+/** Steps before (first) and after (second) the crash boundary. */
+std::pair<std::vector<GoldenStep>, std::vector<GoldenStep>>
+goldenStream()
+{
+    using K = sync::OpKind;
+    std::vector<GoldenStep> before = {
+        // AB-BA: core 0 takes A then B, core 1 takes B then A.
+        {K::LockAcquire, 0, kLockA, 10}, {K::LockAcquire, 0, kLockB, 12},
+        {K::LockRelease, 0, kLockB, 14}, {K::LockRelease, 0, kLockA, 16},
+        {K::LockAcquire, 1, kLockB, 20}, {K::LockAcquire, 1, kLockA, 22},
+        {K::LockRelease, 1, kLockA, 24}, {K::LockRelease, 1, kLockB, 26},
+        // Double release of C by core 2.
+        {K::LockAcquire, 2, kLockC, 30}, {K::LockRelease, 2, kLockC, 32},
+        {K::LockRelease, 2, kLockC, 34},
+        // Two waits on a one-resource semaphore that is never posted.
+        {K::SemWait, 3, kSem, 40}, {K::SemWait, 3, kSem, 42},
+        // D is used before the crash and not re-minted by recovery.
+        {K::LockAcquire, 3, kLockD, 44}, {K::LockRelease, 3, kLockD, 46},
+        // C is still held when the run ends.
+        {K::LockAcquire, 1, kLockC, 50},
+    };
+    std::vector<GoldenStep> after = {
+        {K::LockAcquire, 3, kLockD, 70}, {K::LockRelease, 3, kLockD, 72},
+        // B joins C among the locks held at teardown.
+        {K::LockAcquire, 2, kLockB, 74},
+        // Ops that never complete: pending-op leaks on cores 0 and 3.
+        {K::LockAcquire, 0, kLockA, 80, true},
+        {K::SemWait, 3, kSem, 82, true},
+    };
+    return {before, after};
+}
+
+const std::set<std::uint64_t> kGoldenReminted = {kLockA, kLockB, kLockC,
+                                                 kSem};
+
+std::string
+reportText(const AnalysisReport &r)
+{
+    std::ostringstream os;
+    r.print(os);
+    os << "--\n";
+    r.writeJson(os);
+    return os.str();
+}
+
+AnalysisReport
+goldenThroughEngine()
+{
+    AnalysisEngine eng(MachineShape{1, 4});
+    auto feed = [&eng](const std::vector<GoldenStep> &steps) {
+        for (const GoldenStep &s : steps) {
+            OpEvent e;
+            e.kind = s.kind;
+            e.core = s.core;
+            e.prim = s.prim;
+            e.resources = kGoldenSemResources;
+            e.issued = s.tick;
+            e.completed = s.tick;
+            eng.onIssue(e);
+            if (s.issueOnly)
+                continue;
+            e.completed = s.tick + 1;
+            eng.onComplete(e);
+        }
+    };
+    const auto [before, after] = goldenStream();
+    feed(before);
+    eng.noteCrashRecovery(kGoldenCrashTick, kGoldenReminted);
+    feed(after);
+    return eng.finish();
+}
+
+AnalysisReport
+goldenThroughLiveAnalyzer()
+{
+    // One unit: core ids are the dense client indices. Addresses are
+    // first used in dense-id order, so the observer mints the same ids.
+    const SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 1, 4);
+    LiveAnalyzer live(cfg);
+    auto request = [](const GoldenStep &s) {
+        const Addr addr = 0x1000 + s.prim * 64;
+        switch (s.kind) {
+          case sync::OpKind::LockAcquire:
+            return sync::SyncRequest::lockAcquire(addr);
+          case sync::OpKind::LockRelease:
+            return sync::SyncRequest::lockRelease(addr);
+          default:
+            return sync::SyncRequest::semWait(addr, kGoldenSemResources);
+        }
+    };
+    auto feed = [&](const std::vector<GoldenStep> &steps) {
+        for (const GoldenStep &s : steps) {
+            const sync::SyncRequest req = request(s);
+            live.onIssue(s.core, req, s.tick);
+            if (!s.issueOnly)
+                live.onComplete(s.core, req, s.tick, s.tick + 1);
+        }
+    };
+    const auto [before, after] = goldenStream();
+    feed(before);
+    live.noteCrashRecovery(kGoldenCrashTick, kGoldenReminted);
+    feed(after);
+    return live.finish();
+}
+
+const char *const kGoldenReport = R"golden(analysis: 8 finding(s)
+  [double-release] lock prim#2 released twice by core 2 without reacquiring
+    at core 2, prim#2, tick 34
+    witness: core 2, prim#2, tick 32: previous release
+    witness: core 2, prim#2, tick 34: offending release
+  [stale-generation-use] core 3 used prim#4, minted before the crash at tick 60 and never re-minted by recovery (stale generation)
+    at core 3, prim#4, tick 70
+  [lock-order-cycle] lock-order cycle: prim#0 -> prim#1 -> prim#0
+    at core 0, prim#0, tick 12
+    witness: core 0, prim#1, tick 12: core 0 acquired prim#1 while holding prim#0 (held since tick 11)
+    witness: core 1, prim#0, tick 22: core 1 acquired prim#0 while holding prim#1 (held since tick 21)
+  [semaphore-underflow] semaphore prim#3: wait #2 granted with no resources available (initial 1, posts so far 0)
+    at core 3, prim#3, tick 43
+    witness: core 3, prim#3, tick 43: over-granted wait
+  [lock-held-at-teardown] lock prim#1 still owned by core 2 when the run finished
+    at core 2, prim#1, tick 75
+  [lock-held-at-teardown] lock prim#2 still owned by core 1 when the run finished
+    at core 1, prim#2, tick 51
+  [pending-op-leak] 1 operation(s) issued by core 0 never completed (leaked futures or operations blocked at teardown)
+    at core 0, prim#0, tick 0
+  [pending-op-leak] 1 operation(s) issued by core 3 never completed (leaked futures or operations blocked at teardown)
+    at core 3, prim#0, tick 0
+--
+{
+  "clean": false,
+  "findings": [
+    {
+      "kind": "double-release",
+      "message": "lock prim#2 released twice by core 2 without reacquiring",
+      "core": 2,
+      "prim": 2,
+      "tick": 34,
+      "witness": [
+        {
+          "core": 2,
+          "prim": 2,
+          "tick": 32,
+          "note": "previous release"
+        },
+        {
+          "core": 2,
+          "prim": 2,
+          "tick": 34,
+          "note": "offending release"
+        }
+      ]
+    },
+    {
+      "kind": "stale-generation-use",
+      "message": "core 3 used prim#4, minted before the crash at tick 60 and never re-minted by recovery (stale generation)",
+      "core": 3,
+      "prim": 4,
+      "tick": 70,
+      "witness": []
+    },
+    {
+      "kind": "lock-order-cycle",
+      "message": "lock-order cycle: prim#0 -> prim#1 -> prim#0",
+      "core": 0,
+      "prim": 0,
+      "tick": 12,
+      "witness": [
+        {
+          "core": 0,
+          "prim": 1,
+          "tick": 12,
+          "note": "core 0 acquired prim#1 while holding prim#0 (held since tick 11)"
+        },
+        {
+          "core": 1,
+          "prim": 0,
+          "tick": 22,
+          "note": "core 1 acquired prim#0 while holding prim#1 (held since tick 21)"
+        }
+      ]
+    },
+    {
+      "kind": "semaphore-underflow",
+      "message": "semaphore prim#3: wait #2 granted with no resources available (initial 1, posts so far 0)",
+      "core": 3,
+      "prim": 3,
+      "tick": 43,
+      "witness": [
+        {
+          "core": 3,
+          "prim": 3,
+          "tick": 43,
+          "note": "over-granted wait"
+        }
+      ]
+    },
+    {
+      "kind": "lock-held-at-teardown",
+      "message": "lock prim#1 still owned by core 2 when the run finished",
+      "core": 2,
+      "prim": 1,
+      "tick": 75,
+      "witness": []
+    },
+    {
+      "kind": "lock-held-at-teardown",
+      "message": "lock prim#2 still owned by core 1 when the run finished",
+      "core": 1,
+      "prim": 2,
+      "tick": 51,
+      "witness": []
+    },
+    {
+      "kind": "pending-op-leak",
+      "message": "1 operation(s) issued by core 0 never completed (leaked futures or operations blocked at teardown)",
+      "core": 0,
+      "prim": 0,
+      "tick": 0,
+      "witness": []
+    },
+    {
+      "kind": "pending-op-leak",
+      "message": "1 operation(s) issued by core 3 never completed (leaked futures or operations blocked at teardown)",
+      "core": 3,
+      "prim": 0,
+      "tick": 0,
+      "witness": []
+    }
+  ]
+})golden";
+
+TEST(AnalysisGolden, EngineReportIsFixed)
+{
+    const AnalysisReport r = goldenThroughEngine();
+    EXPECT_EQ(reportText(r), kGoldenReport);
+    std::set<FindingKind> kinds;
+    for (const Finding &f : r.findings)
+        kinds.insert(f.kind);
+    EXPECT_GE(kinds.size(), 5u);
+}
+
+TEST(AnalysisGolden, LiveAnalyzerReportIsFixed)
+{
+    EXPECT_EQ(reportText(goldenThroughLiveAnalyzer()), kGoldenReport);
 }
 
 // --------------------------------------------------------------------

@@ -12,8 +12,8 @@
  *     other exception, a signal or std::terminate fails the test);
  *   - the streaming reader and the mmap reader agree on accept versus
  *     reject, and on the decoded Trace when both accept;
- *   - an accepted trace replays on Central to the end or throws a
- *     std::exception;
+ *   - an accepted trace replays on Central and on SynCron to the end
+ *     or throws a std::exception;
  *   - an accepted image re-encodes and decodes to itself.
  *
  * The mutator is in-tree (no libFuzzer); the sanitizer CI matrix runs
@@ -207,7 +207,8 @@ TEST_F(CodecFuzz, TraceMutantsDecodeOrRejectAndReplayCleanly)
     const std::string path = "test_fuzz_mutant.trc";
     Rng rng(0x5c7c0de);
     int accepted = 0;
-    int replayed = 0;
+    int replayedCentral = 0;
+    int replayedSynCron = 0;
     for (int i = 0; i < kTraceMutants; ++i) {
         std::string bytes = seeds_.trace;
         std::string what = mutate(bytes, rng);
@@ -223,13 +224,17 @@ TEST_F(CodecFuzz, TraceMutantsDecodeOrRejectAndReplayCleanly)
             continue;
         ASSERT_EQ(*streamed, *mapped);
         ++accepted;
-        try {
-            harness::runTrace(
-                trace::replayConfig(*streamed, Scheme::Central),
-                *streamed);
-            ++replayed;
-        } catch (const std::exception &) {
-            // A clean rejection by the replay path is a pass.
+        for (const auto &[scheme, replayed] :
+             {std::pair{Scheme::Central, &replayedCentral},
+              std::pair{Scheme::SynCron, &replayedSynCron}}) {
+            SCOPED_TRACE(std::string("replay on ") + schemeName(scheme));
+            try {
+                harness::runTrace(trace::replayConfig(*streamed, scheme),
+                                  *streamed);
+                ++*replayed;
+            } catch (const std::exception &) {
+                // A clean rejection by the replay path is a pass.
+            }
         }
     }
     std::remove(path.c_str());
@@ -237,7 +242,8 @@ TEST_F(CodecFuzz, TraceMutantsDecodeOrRejectAndReplayCleanly)
     // flips inside tick deltas) and some of those replay to the end.
     EXPECT_GT(accepted, 0);
     EXPECT_LT(accepted, kTraceMutants);
-    EXPECT_GT(replayed, 0);
+    EXPECT_GT(replayedCentral, 0);
+    EXPECT_GT(replayedSynCron, 0);
 }
 
 TEST_F(CodecFuzz, ImageMutantsDecodeOrReject)

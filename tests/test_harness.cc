@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 #include <thread>
 
@@ -471,6 +472,33 @@ TEST(Runner, DeterministicAcrossInvocations)
     EXPECT_EQ(a.time, b.time);
     EXPECT_EQ(a.stats.syncLocalMsgs, b.stats.syncLocalMsgs);
     EXPECT_EQ(a.stats.dramReads, b.stats.dramReads);
+}
+
+TEST(Runner, ObserverEventsAreExact)
+{
+    workloads::ReplicationParams params;
+    params.epochs = 2;
+    params.opsPerEpoch = 4;
+    const SystemConfig plain = SystemConfig::make(Scheme::SynCron, 2, 4);
+    const RunOutput none = runReplication(plain, params);
+    EXPECT_EQ(none.hostObserverEvents, 0u);
+
+    // A trace sink alone takes one record per completed sync op.
+    const std::string path = "test_harness_observers.trc";
+    SystemConfig traced = plain;
+    traced.tracePath = path;
+    const RunOutput capture = runReplication(traced, params);
+    EXPECT_EQ(capture.hostObserverEvents, capture.stats.syncOps);
+
+    // All three observers on: more callbacks, the same count each run.
+    SystemConfig observed = traced;
+    observed.analyze = true;
+    observed.persistMode = durability::PersistMode::Eager;
+    const RunOutput a = runReplication(observed, params);
+    const RunOutput b = runReplication(observed, params);
+    std::remove(path.c_str());
+    EXPECT_GT(a.hostObserverEvents, 2 * a.stats.syncOps);
+    EXPECT_EQ(a.hostObserverEvents, b.hostObserverEvents);
 }
 
 TEST(Runner, SharedInputsMatchPerCellGeneration)

@@ -11,11 +11,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
+#include "durability/image.hh"
 #include "harness/json.hh"
 #include "harness/runner.hh"
 #include "system/system.hh"
@@ -32,9 +34,12 @@ namespace {
 // Container format
 // --------------------------------------------------------------------
 
-/** A structurally valid random trace driven by @p rng. */
+/**
+ * A structurally valid random trace driven by @p rng, with at least
+ * @p minRecords records (plus up to 199 more).
+ */
 Trace
-randomTrace(Rng &rng)
+randomTrace(Rng &rng, unsigned minRecords = 0)
 {
     Trace t;
     t.numUnits = 1 + static_cast<std::uint32_t>(rng.below(4));
@@ -54,7 +59,8 @@ randomTrace(Rng &rng)
     // Guarantee one lock so CondWait records have a valid associate.
     t.primitives[0].kind = PrimKind::Lock;
 
-    const unsigned numRecords = static_cast<unsigned>(rng.below(200));
+    const unsigned numRecords =
+        minRecords + static_cast<unsigned>(rng.below(200));
     for (unsigned i = 0; i < numRecords; ++i) {
         TraceRecord r;
         // Issue ticks jump around to exercise the zigzag deltas.
@@ -288,6 +294,156 @@ TEST(TraceFormat, RejectsDanglingReferences)
     t.primitives[0].kind = PrimKind::Semaphore;
     t.records[0].kind = sync::OpKind::BarrierWaitAcrossUnits;
     EXPECT_THROW(decode(encode(t)), std::runtime_error);
+}
+
+// --------------------------------------------------------------------
+// Golden bytes: both containers, byte for byte
+// --------------------------------------------------------------------
+
+/**
+ * A hand-built 3-primitive, 6-record trace over the encoding's edges:
+ * varints 0, 127, 128 and 2^32, an issue tick near 2^63 followed by a
+ * negative zigzag delta, and a cond_wait with its associated lock.
+ */
+Trace
+edgeTrace()
+{
+    Trace t;
+    t.numUnits = 2;
+    t.clientCoresPerUnit = 128;
+    t.primitives = {
+        TracePrimitive{PrimKind::Lock, 0, 0,
+                       sync::BarrierScope::AcrossUnits},
+        TracePrimitive{PrimKind::CondVar, 1, 127,
+                       sync::BarrierScope::WithinUnit},
+        TracePrimitive{PrimKind::Semaphore, 1, 128,
+                       sync::BarrierScope::AcrossUnits},
+    };
+    const Tick nearTop = (Tick{1} << 63) - 2;
+    auto add = [&t](Tick issued, Tick latency, std::uint32_t core,
+                    sync::OpKind kind, std::uint32_t prim,
+                    std::uint32_t assoc) {
+        t.records.push_back(
+            TraceRecord{issued, issued + latency, core, kind, prim, assoc});
+    };
+    add(0, 0, 0, sync::OpKind::LockAcquire, 0, 0);
+    add(127, 127, 127, sync::OpKind::CondWait, 1, 0);
+    add(nearTop, Tick{1} << 32, 128, sync::OpKind::SemWait, 2, 0);
+    add(1000, 128, 255, sync::OpKind::SemPost, 2, 0);
+    add(1001, 1, 0, sync::OpKind::CondSignal, 1, 0);
+    add(999, 5, 0, sync::OpKind::LockRelease, 0, 0);
+    return t;
+}
+
+/** Hex dump, so a golden mismatch prints the bytes it saw. */
+std::string
+hex(const std::string &bytes)
+{
+    std::ostringstream os;
+    os << std::hex;
+    for (unsigned char c : bytes)
+        os << "0x" << (c < 16 ? "0" : "") << unsigned{c} << ",";
+    return os.str();
+}
+
+std::string
+asBytes(std::initializer_list<unsigned char> bytes)
+{
+    return std::string(bytes.begin(), bytes.end());
+}
+
+const std::string kEdgeTraceBytes = asBytes({
+    // magic
+    0x53, 0x59, 0x4e, 0x43, 0x54, 0x52, 0x43, 0x00,
+    // version 2, 2 units, 128 cores per unit
+    0x02, 0x02, 0x80, 0x01,
+    // 3 primitives: lock; condvar, param 127; semaphore, param 128
+    0x03, 0x00, 0x00, 0x00, 0x01, 0x03, 0x01, 0x7f, 0x00, 0x02,
+    0x01, 0x80, 0x01, 0x01,
+    // 6 records. lock_acquire: every field 0
+    0x06, 0x00, 0x00, 0x00, 0x00, 0x00,
+    // cond_wait: issue 127, latency 127, core 127, assoc lock 0
+    0xfe, 0x01, 0x7f, 0x7f, 0x06, 0x01, 0x00,
+    // sem_wait: issue 2^63 - 2, latency 2^32, core 128
+    0xfe, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+    0x80, 0x80, 0x80, 0x80, 0x10, 0x80, 0x01, 0x04, 0x02,
+    // sem_post: negative delta to 1000, latency 128, core 255
+    0xab, 0xf0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+    0x80, 0x01, 0xff, 0x01, 0x05, 0x02,
+    // cond_signal at 1001; lock_release at 999 (delta -2)
+    0x02, 0x01, 0x00, 0x07, 0x01, 0x03, 0x05, 0x00, 0x01, 0x00,
+});
+
+/** SYNCDUR header (magic, version 2, epoch mode, epochOps 128,
+ *  crashTick 2^32, appended 127), then the trace bytes above. */
+const std::string kEdgeImageBytes =
+    asBytes({0x53, 0x59, 0x4e, 0x43, 0x44, 0x55, 0x52, 0x00,
+             0x02, 0x02, 0x80, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x7f})
+    + kEdgeTraceBytes;
+
+durability::PersistedImage
+edgeImage()
+{
+    const Trace t = edgeTrace();
+    durability::PersistedImage img;
+    img.numUnits = t.numUnits;
+    img.clientCoresPerUnit = t.clientCoresPerUnit;
+    img.mode = durability::PersistMode::Epoch;
+    img.epochOps = 128;
+    img.crashTick = Tick{1} << 32;
+    img.appended = t.records.size() + 121;
+    img.primitives = t.primitives;
+    img.records = t.records;
+    return img;
+}
+
+TEST(ContainerGolden, TraceBytesAreFixed)
+{
+    const std::string bytes = encode(edgeTrace());
+    EXPECT_EQ(hex(bytes), hex(kEdgeTraceBytes));
+    EXPECT_EQ(decode(kEdgeTraceBytes), edgeTrace());
+}
+
+TEST(ContainerGolden, ImageBytesAreFixed)
+{
+    std::ostringstream os;
+    durability::writeImage(os, edgeImage());
+    EXPECT_EQ(hex(os.str()), hex(kEdgeImageBytes));
+    std::istringstream is(kEdgeImageBytes);
+    EXPECT_EQ(durability::readImage(is), edgeImage());
+    // The image embeds the trace container verbatim after its header.
+    EXPECT_EQ(kEdgeImageBytes.substr(kEdgeImageBytes.size()
+                                     - kEdgeTraceBytes.size()),
+              kEdgeTraceBytes);
+}
+
+TEST(ContainerGolden, LargeTraceReencodesToIdenticalBytes)
+{
+    // Well past the encoder's 64 KiB flush chunk, so records straddle
+    // flush boundaries in both containers.
+    Rng rng(20261019);
+    const Trace t = randomTrace(rng, 40000);
+    const std::string bytes = encode(t);
+    ASSERT_GT(bytes.size(), 256u * 1024u);
+    const Trace back = decode(bytes);
+    EXPECT_EQ(back, t);
+    EXPECT_EQ(encode(back), bytes);
+
+    durability::PersistedImage img;
+    img.numUnits = t.numUnits;
+    img.clientCoresPerUnit = t.clientCoresPerUnit;
+    img.appended = t.records.size();
+    img.primitives = t.primitives;
+    img.records = t.records;
+    std::stringstream image;
+    durability::writeImage(image, img);
+    const std::string imageBytes = image.str();
+    EXPECT_EQ(imageBytes.substr(imageBytes.size() - bytes.size()), bytes);
+    const durability::PersistedImage imgBack = durability::readImage(image);
+    EXPECT_EQ(imgBack, img);
+    std::ostringstream again;
+    durability::writeImage(again, imgBack);
+    EXPECT_EQ(again.str(), imageBytes);
 }
 
 // --------------------------------------------------------------------

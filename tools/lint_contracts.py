@@ -192,7 +192,7 @@ def lint_tree(root):
         if rel.startswith("src/") and rel != VARINT_HOME:
             for m in VARINT_BITS_RE.finditer(text):
                 report(rel, line_of(text, m), "varint-home",
-                       "LEB128 byte loop outside %s - use putVarint() / "
+                       "LEB128 byte loop outside %s - use VarintWriter / "
                        "VarintCursor" % VARINT_HOME)
             for m in VARINT_DEF_RE.finditer(text):
                 report(rel, line_of(text, m), "varint-home",
