@@ -12,13 +12,11 @@
  * the per-backend "max sustainable rate" metric.
  *
  * Inline guarantees (the bench exits non-zero when violated):
- *   - determinism: the first curve point of every backend is re-run at
- *     --sim-shards=1 and must serialize to byte-identical curve JSON —
- *     which, when the sweep itself ran sharded, is also the PR 8
- *     cross-shard bit-identity check for the open-loop engine.
+ *   - determinism: the first curve point of every backend is re-run on
+ *     its own and must serialize to byte-identical curve JSON.
  *
- * Composes with --jobs (independent grid cells), --analyze (each cell
- * runs the sync-correctness analyses), and --sim-shards.
+ * Composes with --jobs (independent grid cells) and --analyze (each
+ * cell runs the sync-correctness analyses).
  */
 
 #include <algorithm>
@@ -158,12 +156,11 @@ main(int argc, char **argv)
                    results[i]);
     }
 
-    // -- Inline determinism / cross-shard identity check --------------
-    // Re-run the first rate point of every backend single-sharded; its
-    // curve JSON must match the sweep's byte for byte.
+    // -- Inline determinism check -------------------------------------
+    // Re-run the first rate point of every backend; its curve JSON must
+    // match the sweep's byte for byte.
     for (unsigned b = 0; b < backends.size(); ++b) {
-        SystemConfig cfg = opts.makeConfig(backends[b].first);
-        cfg.simShards = 1;
+        const SystemConfig cfg = opts.makeConfig(backends[b].first);
         const harness::RunOutput rerun =
             harness::runOpenLoop(cfg, specs[0], schedules[0]);
         load::SloCurve a{curves[b].backend, {curves[b].points[0]}};
@@ -173,9 +170,6 @@ main(int argc, char **argv)
             SYNCRON_FATAL(
                 "open-loop run not deterministic for backend '"
                 << curves[b].backend << "' at rate " << kRates[0]
-                << (opts.simShards > 1
-                        ? " (sharded sweep diverged from 1 shard)"
-                        : "")
                 << ":\n  sweep: " << load::curveToJson(a)
                 << "\n  rerun: " << load::curveToJson(c));
         }
@@ -227,8 +221,7 @@ main(int argc, char **argv)
         }
     }
     table.addNote("curves deterministic (checked): first point of "
-                  "every backend re-run at --sim-shards=1, byte-equal "
-                  "JSON");
+                  "every backend re-run, byte-equal JSON");
     table.print(std::cout);
     summary.print(std::cout);
 

@@ -19,6 +19,10 @@
  *      checked to reproduce the original per-OpKind operation counts
  *      exactly on the capturing backend (exit non-zero otherwise).
  *
+ * --analyze and --persist apply to the replay cells too; with either
+ * on, every replay cell must report observer callbacks (exit non-zero
+ * otherwise).
+ *
  * Emits BENCH_trace_replay.json with --json; CI smokes a small
  * generate+replay grid and gates it with tools/perf_trend.py.
  */
@@ -104,11 +108,16 @@ main(int argc, char **argv)
             tasks.push_back([&opts, t, scheme] {
                 SystemConfig cfg = trace::replayConfig(*t, scheme);
                 cfg.backendName = opts.backend;
+                cfg.analyze = opts.analyze;
+                cfg.persistMode = opts.persist;
+                cfg.persistEpochOps = opts.persistEpochOps;
                 return harness::runTrace(cfg, *t);
             });
         }
     }
     const auto results = harness::runGrid(std::move(tasks), opts.jobs);
+    const bool observed =
+        opts.analyze || opts.persist != durability::PersistMode::Off;
 
     harness::TablePrinter table(
         "Trace replay: throughput [ops/ms] per backend",
@@ -127,6 +136,12 @@ main(int argc, char **argv)
                               << name << "' on " << schemeName(scheme)
                               << " executed " << out.ops << " of "
                               << trc.records.size() << " records");
+            }
+            if (observed && out.hostObserverEvents == 0) {
+                SYNCRON_FATAL("replay of '"
+                              << name << "' on " << schemeName(scheme)
+                              << " ran no observer although --analyze "
+                                 "or --persist was given");
             }
             // Any correct backend executes exactly the trace's
             // operation mix — the round-trip guarantee.

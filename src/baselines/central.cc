@@ -12,7 +12,7 @@ namespace syncron::baselines {
 
 CentralBackend::CentralBackend(Machine &machine, UnitId serverUnit)
     : machine_(machine),
-      l1_(machine.config().l1, machine.statsFor(serverUnit)),
+      l1_(machine.config().l1, machine.stats()),
       serverUnit_(serverUnit)
 {
     SYNCRON_ASSERT(serverUnit < machine.config().numUnits,
@@ -54,14 +54,14 @@ CentralBackend::request(core::Core &requester,
 
     const UnitId from = requester.unit();
     if (from == serverUnit_)
-        ++machine_.statsFor(from).syncLocalMsgs;
+        ++machine_.stats().syncLocalMsgs;
     else
-        ++machine_.statsFor(from).syncGlobalMsgs;
+        ++machine_.stats().syncGlobalMsgs;
 
     const CoreId core = requester.id();
     sim::Gate *acquireGate = acquire ? gate : nullptr;
     pendingInc(req.var());
-    machine_.postMessage(machine_.eq(from).now(), from, serverUnit_,
+    machine_.postMessage(machine_.eq().now(), from, serverUnit_,
                          sync::kSyncReqBits,
                          [this, req, core, acquireGate] {
                              enqueue(req, core, acquireGate);
@@ -102,7 +102,7 @@ CentralBackend::requestBatch(core::Core &requester,
 
     const UnitId from = requester.unit();
     const auto n = static_cast<std::uint32_t>(reqs.size());
-    SystemStats &st = machine_.statsFor(from);
+    SystemStats &st = machine_.stats();
     if (from == serverUnit_)
         ++st.syncLocalMsgs;
     else
@@ -111,7 +111,7 @@ CentralBackend::requestBatch(core::Core &requester,
     st.messagesSaved += n - 1;
 
     const CoreId core = requester.id();
-    machine_.postMessage(machine_.eq(from).now(), from, serverUnit_,
+    machine_.postMessage(machine_.eq().now(), from, serverUnit_,
                          sync::batchReqBits(reqs),
                          [this, core, members = std::move(members)] {
                              for (const Member &m : members)
@@ -124,7 +124,7 @@ CentralBackend::enqueue(const sync::SyncRequest &req, CoreId core,
                         sim::Gate *gate)
 {
     queue_.push_back(
-        Job{req, core, gate, machine_.eq(serverUnit_).now()});
+        Job{req, core, gate, machine_.eq().now()});
     if (!serving_)
         serveNext();
 }
@@ -146,8 +146,8 @@ CentralBackend::serveNext()
 
     // Software read-modify-write of the variable's line through the
     // server's private L1; a miss fetches the line from the owning
-    // unit's DRAM — across the serial links when the variable is remote
-    // (an asynchronous round trip under sharded simulation).
+    // unit's DRAM — an asynchronous round trip across the serial links
+    // when the variable is remote.
     const Addr var = job.req.var();
     const Tick hit = static_cast<Tick>(l1_.params().hitCycles)
                      * kCoreClock.period();
@@ -176,15 +176,14 @@ CentralBackend::onFillDone()
     const Tick hit = static_cast<Tick>(l1_.params().hitCycles)
                      * kCoreClock.period();
     l1_.access(var, true); // the modifying write hits the filled line
-    finishJob(machine_.eq(serverUnit_).now() + hit);
+    finishJob(machine_.eq().now() + hit);
 }
 
 void
 CentralBackend::finishJob(Tick done)
 {
     busyUntil_ = done;
-    machine_.eq(serverUnit_).schedule(done,
-                                      [this] { completeFront(); });
+    machine_.eq().schedule(done, [this] { completeFront(); });
 }
 
 void
@@ -192,19 +191,19 @@ CentralBackend::completeFront()
 {
     Job job = queue_.front();
     queue_.pop_front();
-    const Tick when = machine_.eq(serverUnit_).now();
+    const Tick when = machine_.eq().now();
     auto grants = state_.apply(job.req, job.core, job.gate);
     pendingDec(job.req.var());
     for (const sync::SyncGrant &g : grants) {
         const UnitId unit = g.core / machine_.config().coresPerUnit;
-        SystemStats &st = machine_.statsFor(serverUnit_);
+        SystemStats &st = machine_.stats();
         if (unit == serverUnit_)
             ++st.syncLocalMsgs;
         else
             ++st.syncGlobalMsgs;
         SYNCRON_ASSERT(g.gate != nullptr, "grant without gate");
-        // The grant opens the requester's gate on its own shard at the
-        // response's arrival tick.
+        // The grant opens the requester's gate at the response's arrival
+        // tick.
         sim::Gate *gate = g.gate;
         machine_.postMessage(when, serverUnit_, unit, sync::kSyncRespBits,
                              [gate] { gate->open(0, 0); });
@@ -212,7 +211,7 @@ CentralBackend::completeFront()
     serveNext();
 }
 
-SYNCRON_REGISTER_BACKEND_SHARDABLE("Central", [](Machine &m) {
+SYNCRON_REGISTER_BACKEND("Central", [](Machine &m) {
     return std::make_unique<CentralBackend>(m);
 });
 

@@ -66,7 +66,7 @@ class CentralBackend : public sync::SyncBackend
         Tick arrival = 0;
     };
 
-    /** Enqueues an arrived request at the server (server shard only). */
+    /** Enqueues an arrived request at the server. */
     void enqueue(const sync::SyncRequest &req, CoreId core,
                  sim::Gate *gate);
     /** Begins servicing the queue head; may suspend on a miss fill. */
@@ -86,15 +86,13 @@ class CentralBackend : public sync::SyncBackend
     sync::FlatSyncState state_;
     UnitId serverUnit_;
     Tick busyUntil_ = 0;
-    /// Arrival-ordered software service queue. The whole service path
-    /// (queue, L1, state_) runs on the server's shard; only pending_ is
-    /// shared with requester shards.
+    /// Arrival-ordered software service queue.
     std::deque<Job> queue_;
     bool serving_ = false;
     /// Requests issued but not yet applied at the server, per variable
     /// (keeps idleVar() honest about messages still in flight).
-    /// Incremented on the requester's shard, decremented on the
-    /// server's; only read for its keys at quiescence.
+    /// Incremented at issue, decremented when the server applies the
+    /// request; only read for its keys at quiescence.
     std::unordered_map<Addr, std::uint32_t> pending_;
     mutable std::mutex pendingMu_;
 };

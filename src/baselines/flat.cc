@@ -63,14 +63,14 @@ FlatSynCronBackend::request(core::Core &requester,
     const UnitId master = mem::unitOfAddr(req.var());
     const UnitId from = requester.unit();
     if (from == master)
-        ++machine_.statsFor(from).syncLocalMsgs;
+        ++machine_.stats().syncLocalMsgs;
     else
-        ++machine_.statsFor(from).syncGlobalMsgs;
+        ++machine_.stats().syncGlobalMsgs;
 
     const CoreId core = requester.id();
     sim::Gate *acquireGate = acquire ? gate : nullptr;
     pendingInc(req.var());
-    machine_.postMessage(machine_.eq(from).now(), from, master,
+    machine_.postMessage(machine_.eq().now(), from, master,
                          sync::kSyncReqBits,
                          [this, master, req, core, acquireGate] {
                              process(master, req, core, acquireGate);
@@ -82,7 +82,7 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
                             CoreId core, sim::Gate *gate)
 {
     const SystemConfig &cfg = machine_.config();
-    const Tick start = std::max(machine_.eq(se).now(), busyUntil_[se]);
+    const Tick start = std::max(machine_.eq().now(), busyUntil_[se]);
     // Same SPU cost as hierarchical SynCron: the variable is buffered
     // directly in the Master SE's ST.
     const Tick done = start
@@ -90,8 +90,8 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
                             * cfg.seCyclePeriod;
     busyUntil_[se] = done;
 
-    machine_.eq(se).schedule(done, [this, se, req, core, gate] {
-        const Tick when = machine_.eq(se).now();
+    machine_.eq().schedule(done, [this, se, req, core, gate] {
+        const Tick when = machine_.eq().now();
         // A cond op's associated-lock manipulation is emitted here and
         // forwarded below to the LOCK's Master SE: the condition and
         // its lock may be homed at different units.
@@ -105,7 +105,7 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
                     op.acquire ? sync::OpKind::LockAcquire
                                : sync::OpKind::LockRelease,
                     op.lock, 0);
-            SystemStats &st = machine_.statsFor(se);
+            SystemStats &st = machine_.stats();
             if (lockSe == se)
                 ++st.syncLocalMsgs;
             else
@@ -122,14 +122,14 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
         }
         for (const sync::SyncGrant &g : grants) {
             const UnitId unit = g.core / machine_.config().coresPerUnit;
-            SystemStats &st = machine_.statsFor(se);
+            SystemStats &st = machine_.stats();
             if (unit == se)
                 ++st.syncLocalMsgs;
             else
                 ++st.syncGlobalMsgs;
             SYNCRON_ASSERT(g.gate != nullptr, "grant without gate");
-            // Opens the requester's gate on its own shard at the
-            // response's arrival tick.
+            // Opens the requester's gate at the response's arrival
+            // tick.
             sim::Gate *grantGate = g.gate;
             machine_.postMessage(when, se, unit, sync::kSyncRespBits,
                                  [grantGate] { grantGate->open(0, 0); });
@@ -137,7 +137,7 @@ FlatSynCronBackend::process(UnitId se, const sync::SyncRequest &req,
     });
 }
 
-SYNCRON_REGISTER_BACKEND_SHARDABLE("SynCron-flat", [](Machine &m) {
+SYNCRON_REGISTER_BACKEND("SynCron-flat", [](Machine &m) {
     return std::make_unique<FlatSynCronBackend>(m);
 });
 

@@ -46,13 +46,13 @@ class FlatSynCronBackend : public sync::SyncBackend
 
     Machine &machine_;
     /// Per-master-unit tracking state: a variable's state lives at its
-    /// Master SE and is only touched from that unit's shard.
+    /// Master SE.
     std::vector<sync::FlatSyncState> state_;
     std::vector<Tick> busyUntil_; ///< per-unit SE SPU
     /// Requests issued but not yet applied at their Master SE, per
     /// variable (keeps idleVar() honest about in-flight messages).
-    /// Incremented on requester shards, decremented at the master;
-    /// only read for its keys at quiescence.
+    /// Incremented at issue, decremented at the master; only read for
+    /// its keys at quiescence.
     std::unordered_map<Addr, std::uint32_t> pending_;
     mutable std::mutex pendingMu_;
 };

@@ -7,7 +7,7 @@
 
 namespace syncron::baselines {
 
-SYNCRON_REGISTER_BACKEND_SHARDABLE("Hier", [](Machine &m) {
+SYNCRON_REGISTER_BACKEND("Hier", [](Machine &m) {
     return std::make_unique<HierBackend>(m);
 });
 

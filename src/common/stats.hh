@@ -139,8 +139,7 @@ struct SystemStats
     std::uint64_t stRequests = 0;        ///< requests that consulted an ST
     std::uint64_t stMaxOccupied = 0;     ///< max entries occupied (any ST)
     /// sum(occupied * dt) over time. Integer (entries are integers,
-    /// dt is ticks) so merging per-shard stat blocks is exact — sharded
-    /// runs must reproduce single-threaded stats bit-identically.
+    /// dt is ticks) so the sum is exact and the same on every host.
     std::uint64_t stOccupancyIntegral = 0;
     Tick stOccupancyTime = 0;            ///< total observed time
 

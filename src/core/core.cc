@@ -5,7 +5,7 @@
 namespace syncron::core {
 
 Core::Core(Machine &machine, CoreId id, UnitId unit, unsigned localId)
-    : machine_(machine), l1_(machine.config().l1, machine.statsFor(unit)),
+    : machine_(machine), l1_(machine.config().l1, machine.stats()),
       rng_(machine.config().seed * 0x9e3779b97f4a7c15ULL + id + 1),
       id_(id), unit_(unit), localId_(localId)
 {}
@@ -13,21 +13,21 @@ Core::Core(Machine &machine, CoreId id, UnitId unit, unsigned localId)
 sim::Delay
 Core::compute(std::uint64_t instructions)
 {
-    machine_.statsFor(unit_).instructions += instructions;
-    return sim::Delay{machine_.eq(unit_), instructions * cyclePeriod()};
+    machine_.stats().instructions += instructions;
+    return sim::Delay{machine_.eq(), instructions * cyclePeriod()};
 }
 
 MemOp
 Core::load(Addr addr, std::uint32_t bytes, MemKind kind)
 {
-    ++machine_.statsFor(unit_).memOps;
+    ++machine_.stats().memOps;
     return MemOp{*this, addr, bytes, false, kind};
 }
 
 MemOp
 Core::store(Addr addr, std::uint32_t bytes, MemKind kind)
 {
-    ++machine_.statsFor(unit_).memOps;
+    ++machine_.stats().memOps;
     return MemOp{*this, addr, bytes, true, kind};
 }
 
@@ -36,11 +36,10 @@ MemOp::await_suspend(std::coroutine_handle<> h)
 {
     h_ = h;
     Machine &m = core_.machine_;
-    const Tick now = m.eq(core_.unit()).now();
+    const Tick now = m.eq().now();
     if (kind_ == MemKind::SharedRW) {
         // Uncacheable: one full (possibly remote) DRAM transaction; the
-        // completion callback runs at the response-arrival tick on this
-        // core's shard.
+        // completion callback runs at the response-arrival tick.
         m.memoryAccessAsync(now, core_.unit(), addr_, isWrite_, bytes_,
                             [this] { h_.resume(); });
         return;
@@ -89,7 +88,7 @@ MemOp::stepLines()
 void
 MemOp::onFillDone()
 {
-    const Tick t = core_.machine_.eq(core_.unit()).now();
+    const Tick t = core_.machine_.eq().now();
     done_ = std::max(done_, t);
     start_ = t;
     line_ += kCacheLineBytes;
@@ -99,7 +98,7 @@ MemOp::onFillDone()
 void
 MemOp::finish()
 {
-    sim::EventQueue &eq = core_.machine_.eq(core_.unit());
+    sim::EventQueue &eq = core_.machine_.eq();
     eq.schedule(done_, [h = h_] { h.resume(); });
 }
 

@@ -43,11 +43,11 @@ class Core;
 /**
  * Awaitable memory operation returned by Core::load()/store().
  *
- * Accesses whose data lives in a foreign unit must not touch that
- * unit's DRAM/crossbar synchronously under sharded simulation, so the
- * access runs as a small state machine over Machine's asynchronous
- * transport: cache-hit legs advance synchronously, each miss fill
- * suspends until the (possibly cross-shard) DRAM round trip completes,
+ * The access runs as a small state machine over Machine's asynchronous
+ * transport, so a foreign unit's crossbar and DRAM are charged when the
+ * message arrives there, in the mailbox order that fixes the simulated
+ * result: cache-hit legs advance synchronously, each miss fill
+ * suspends until the (possibly remote) DRAM round trip completes,
  * and the coroutine resumes at the tick the last outstanding leg
  * finishes. The object lives in the co_await expression, so its address
  * is stable for the callbacks it parks.

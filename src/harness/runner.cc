@@ -44,9 +44,6 @@ BenchOptions::usage()
            "--jobs=1)\n"
            "  --crash-sweep=<n>  durability benches: crash-inject at "
            "every nth sync-op boundary\n"
-           "  --sim-shards=<n>   host threads per simulated machine "
-           "(bit-identical results; incompatible with --trace-out, "
-           "--crash-at, --persist)\n"
            "  --load=<spec>      open-loop arrival process: "
            "<kind>[:k=v,...], kind = fixed|poisson|bursty|diurnal, "
            "keys rate, ops, window, locks, hold, policy, seed, burst, "
@@ -181,19 +178,6 @@ BenchOptions::parse(int argc, char **argv)
                               << usage());
             }
             opts.crashSweepEvery = static_cast<unsigned>(n);
-        } else if ((val = optValue(arg, "--sim-shards="))) {
-            char *end = nullptr;
-            errno = 0;
-            const long n = std::strtol(val, &end, 10);
-            if (*val == '\0' || end == nullptr || *end != '\0'
-                || errno != 0 || n < 1
-                || n > static_cast<long>(kMaxShards)) {
-                SYNCRON_FATAL("bad --sim-shards value '"
-                              << val << "' (need 1.." << kMaxShards
-                              << ")\n"
-                              << usage());
-            }
-            opts.simShards = static_cast<unsigned>(n);
         } else if ((val = optValue(arg, "--load="))) {
             std::string error;
             if (!load::LoadSpec::fromString(val, opts.loadSpec,
@@ -254,29 +238,6 @@ BenchOptions::parse(int argc, char **argv)
                       "is a single deterministic run, not a grid)\n"
                       << usage());
     }
-    // Sharded simulation only guarantees one global order for the
-    // simulated machine's events, not for the side channels below: the
-    // trace writer and the durability log both record hook-fire order,
-    // and crash injection stops one queue at an exact tick. All three
-    // need the single-queue kernel.
-    if (opts.simShards > 1 && !opts.traceOut.empty()) {
-        SYNCRON_FATAL("--trace-out requires --sim-shards=1 (trace "
-                      "capture records one global event order)\n"
-                      << usage());
-    }
-    if (opts.simShards > 1 && opts.crashAt != 0) {
-        SYNCRON_FATAL("--crash-at requires --sim-shards=1 (crash "
-                      "injection stops the machine at an exact global "
-                      "tick)\n"
-                      << usage());
-    }
-    if (opts.simShards > 1
-        && opts.persist != durability::PersistMode::Off) {
-        SYNCRON_FATAL("--persist requires --sim-shards=1 (the "
-                      "durability log records one global sync-op "
-                      "order)\n"
-                      << usage());
-    }
     return opts;
 }
 
@@ -292,7 +253,6 @@ BenchOptions::makeConfig(Scheme scheme, unsigned numUnits,
     cfg.persistMode = persist;
     cfg.persistEpochOps = persistEpochOps;
     cfg.crashAtTick = crashAt;
-    cfg.simShards = simShards;
     return cfg;
 }
 
@@ -386,8 +346,8 @@ class HostTimer
 void
 finishOutput(RunOutput &out, NdpSystem &sys)
 {
-    out.hostEvents = sys.machine().executedEvents();
-    out.hostHeapPushes = sys.machine().heapPushes();
+    out.hostEvents = sys.machine().eq().executed();
+    out.hostHeapPushes = sys.machine().eq().heapPushes();
     out.hostWindows = sys.kernelWindows();
     out.hostEnvelopes = sys.machine().envelopes();
     out.hostObserverEvents = sys.observerEvents();
@@ -431,55 +391,55 @@ runDataStructure(const SystemConfig &cfg, DsKind kind,
             if (!stack)
                 stack = std::make_unique<workloads::SimStack>(
                     sys, initialSize);
-            sys.spawn(stack->worker(c, opsPerCore), c);
+            sys.spawn(stack->worker(c, opsPerCore));
             break;
           case DsKind::Queue:
             if (!queue)
                 queue = std::make_unique<workloads::SimQueue>(
                     sys, initialSize);
-            sys.spawn(queue->worker(c, opsPerCore), c);
+            sys.spawn(queue->worker(c, opsPerCore));
             break;
           case DsKind::ArrayMap:
             if (!map)
                 map = std::make_unique<workloads::SimArrayMap>(
                     sys, initialSize);
-            sys.spawn(map->worker(c, opsPerCore), c);
+            sys.spawn(map->worker(c, opsPerCore));
             break;
           case DsKind::PriorityQueue:
             if (!pq)
                 pq = std::make_unique<workloads::SimPriorityQueue>(
                     sys, initialSize);
-            sys.spawn(pq->worker(c, opsPerCore), c);
+            sys.spawn(pq->worker(c, opsPerCore));
             break;
           case DsKind::SkipList:
             if (!skip)
                 skip = std::make_unique<workloads::SimSkipList>(
                     sys, initialSize);
-            sys.spawn(skip->worker(c, opsPerCore), c);
+            sys.spawn(skip->worker(c, opsPerCore));
             break;
           case DsKind::HashTable:
             if (!hash)
                 hash = std::make_unique<workloads::SimHashTable>(
                     sys, initialSize);
-            sys.spawn(hash->worker(c, opsPerCore), c);
+            sys.spawn(hash->worker(c, opsPerCore));
             break;
           case DsKind::LinkedList:
             if (!list)
                 list = std::make_unique<workloads::SimLinkedList>(
                     sys, initialSize);
-            sys.spawn(list->worker(c, opsPerCore), c);
+            sys.spawn(list->worker(c, opsPerCore));
             break;
           case DsKind::BstFg:
             if (!bstFg)
                 bstFg = std::make_unique<workloads::SimBstFg>(
                     sys, initialSize);
-            sys.spawn(bstFg->worker(c, opsPerCore), c);
+            sys.spawn(bstFg->worker(c, opsPerCore));
             break;
           case DsKind::BstDrachsler:
             if (!bstDr)
                 bstDr = std::make_unique<workloads::SimBstDrachsler>(
                     sys, initialSize);
-            sys.spawn(bstDr->worker(c, opsPerCore), c);
+            sys.spawn(bstDr->worker(c, opsPerCore));
             break;
         }
     }
@@ -839,7 +799,8 @@ runCorpus(const SystemConfig &base, Scheme scheme,
         cfg.backendName = base.backendName;
         cfg.analyze = base.analyze;
         cfg.analyzeFatal = base.analyzeFatal;
-        cfg.simShards = base.simShards;
+        cfg.persistMode = base.persistMode;
+        cfg.persistEpochOps = base.persistEpochOps;
         out.run = runTrace(cfg, t);
         outputs.push_back(std::move(out));
     }

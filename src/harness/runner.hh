@@ -63,11 +63,6 @@ struct BenchOptions
     /// performance grid, run the crash-injection sweep at every nth
     /// sync-op boundary (0 = disabled).
     unsigned crashSweepEvery = 0;
-    /// --sim-shards=<n>: host threads sharding each simulated machine
-    /// (conservative PDES). Results are bit-identical to a
-    /// single-threaded run. Incompatible with --trace-out, --crash-at,
-    /// and --persist, which all assume one global event order.
-    unsigned simShards = 1;
     /// --load=<spec>: open-loop arrival-process override for benches
     /// that sweep offered load (see load::LoadSpec::fromString).
     load::LoadSpec loadSpec;
@@ -78,9 +73,6 @@ struct BenchOptions
 
     /** Maximum accepted --jobs value. */
     static constexpr unsigned kMaxJobs = 256;
-
-    /** Maximum accepted --sim-shards value. */
-    static constexpr unsigned kMaxShards = 64;
 
     /** Maximum accepted --scale value (paper scale is 8.0). */
     static constexpr double kMaxScale = 1e6;
@@ -162,7 +154,7 @@ struct RunOutput
     std::uint64_t hostNs = 0;     ///< host wall-clock of the run
     // Deterministic kernel work counters (exact, noise-free).
     std::uint64_t hostHeapPushes = 0; ///< schedules past the wheel horizon
-    std::uint64_t hostWindows = 0;    ///< conservative-PDES windows
+    std::uint64_t hostWindows = 0;    ///< Machine::run() windows
     std::uint64_t hostEnvelopes = 0;  ///< mailbox envelopes delivered
     /// observer callbacks: trace-sink records, live-analyzer events,
     /// durability WAL appends and persist-hook calls (0 with none on)
@@ -314,8 +306,8 @@ struct CorpusRunOutput
  * Replays every trace of @p corpus back-to-back under @p scheme: each
  * file is mmap-read (trace::MappedTraceReader), materialized, and
  * driven through runTrace() on a config shaped by replayConfig() with
- * @p base's CLI-wide settings (backendName, analyze, simShards)
- * carried over. fatal()s on the first malformed trace.
+ * @p base's CLI-wide settings (backendName, analyze, persistMode,
+ * persistEpochOps) carried over. fatal()s on the first malformed trace.
  */
 std::vector<CorpusRunOutput> runCorpus(const SystemConfig &base,
                                        Scheme scheme,

@@ -14,10 +14,8 @@
  *
  * The expansion is a pure function of (spec, core count): every random
  * decision flows through a per-core seeded syncron::Rng, so schedules
- * are bit-identical across hosts, job counts, and --sim-shards values
- * (the PR 8 sharded-determinism discipline: shared state is immutable
- * before the run starts; per-core state is only touched by that core's
- * coroutines).
+ * are bit-identical across hosts and job counts, and immutable once
+ * the run starts.
  */
 
 #ifndef SYNCRON_LOAD_ARRIVAL_HH

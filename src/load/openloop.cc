@@ -25,7 +25,7 @@ OpenLoopWorkload::OpenLoopWorkload(NdpSystem &sys, const LoadSpec &spec,
         const unsigned slots = std::min<std::size_t>(
             spec.window, sched.perCore[i].size());
         for (unsigned w = 0; w < slots; ++w)
-            sys.spawn(worker(c, i), c);
+            sys.spawn(worker(c, i));
     }
 }
 
@@ -50,7 +50,7 @@ sim::Process
 OpenLoopWorkload::worker(core::Core &c, unsigned coreIdx)
 {
     sync::SyncApi &api = sys_.api();
-    sim::EventQueue &eq = c.machine().eq(c.unit());
+    sim::EventQueue &eq = c.machine().eq();
     PerCore &st = state_[coreIdx];
     const std::vector<Arrival> &sched = sched_.perCore[coreIdx];
 

@@ -21,10 +21,9 @@
  * handed off FIFO at release; under Drop a busy lock at the scheduled
  * tick sheds the arrival like any other overload.
  *
- * Sharded-determinism discipline (PR 8): the schedule is immutable for
- * the whole run, and each core's cursor/counters are touched only by
- * that core's coroutines, which are all homed on the core's shard — so
- * runs are bit-identical for any --sim-shards value.
+ * Determinism: the schedule is immutable for the whole run, and each
+ * core's cursor/counters are touched only by that core's coroutines,
+ * so a run depends on nothing but the spec and the configuration.
  */
 
 #ifndef SYNCRON_LOAD_OPENLOOP_HH
@@ -96,8 +95,7 @@ class OpenLoopWorkload
 
   private:
     /// Cursor + counters + in-flight lock set of one core; mutated only
-    /// by that core's window workers (shard-local, so no
-    /// synchronization needed). busyLocks/waiters hold at most
+    /// by that core's window workers. busyLocks/waiters hold at most
     /// `window` entries, so linear scans are cheap.
     struct PerCore
     {

@@ -102,8 +102,8 @@ class EventQueue
 
     /**
      * Tick of the earliest pending event, or kTickNever when empty.
-     * Pure (moves nothing out of the heap), so a sharded coordinator can
-     * poll every shard's horizon between bounded run(until) windows
+     * Pure (moves nothing out of the heap), so Machine::run() can read
+     * the next window's start between bounded run(until) windows
      * without perturbing queue state.
      */
     Tick nextTime() const { return nextEventTime(); }

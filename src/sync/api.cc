@@ -16,10 +16,7 @@ void
 recordCompletion(Machine &machine, SyncApi *api, CoreId core,
                  const SyncRequest &req, Tick issued, Tick completed)
 {
-    // Charge the latency to the issuing core's shard (the core-ID
-    // layout invariant: id = unit * coresPerUnit + local).
-    const UnitId unit = core / machine.config().coresPerUnit;
-    machine.statsFor(unit).recordSyncLatency(
+    machine.stats().recordSyncLatency(
         static_cast<unsigned>(req.kind()), completed - issued);
     if (api != nullptr)
         api->notifyOp(core, req, issued, completed);
@@ -157,9 +154,6 @@ SyncApi::allocVar(UnitId unit)
 {
     SYNCRON_ASSERT(unit < freeLists_.size(),
                    "primitive creation in unknown unit " << unit);
-    SYNCRON_ASSERT(!machine_.inParallelRegion(),
-                   "primitive creation while a sharded window is running "
-                   "(create primitives before run())");
     if (!freeLists_[unit].empty()) {
         Addr addr = freeLists_[unit].back();
         freeLists_[unit].pop_back();
@@ -196,9 +190,6 @@ SyncApi::checkLive(const SyncPrimitive &prim) const
 void
 SyncApi::destroyPrimitive(const SyncPrimitive &prim)
 {
-    SYNCRON_ASSERT(!machine_.inParallelRegion(),
-                   "destroy while a sharded window is running (idleVar "
-                   "sweeps foreign shards; destroy at quiescence)");
     checkLive(prim);
     SYNCRON_ASSERT(backend_.idleVar(prim.addr),
                    "destroy @" << prim.addr << " while backend "
@@ -220,7 +211,7 @@ SyncApi::makeOp(core::Core &c, const SyncPrimitive &prim,
                 const SyncRequest &req)
 {
     checkLive(prim);
-    ++machine_.statsFor(c.unit()).syncOps;
+    ++machine_.stats().syncOps;
     return SyncOp{c, backend_, req, this};
 }
 
@@ -230,10 +221,10 @@ SyncApi::makeFutureState(core::Core &c, const SyncRequest &req)
     SYNCRON_ASSERT(req.kind() != OpKind::CondWait,
                    "cond_wait cannot be submitted asynchronously; use "
                    "the blocking SyncApi::wait(core, cond, lock)");
-    ++machine_.statsFor(c.unit()).syncOps;
-    auto state = std::make_unique<detail::FutureState>(machine_, c.id(),
-                                                       c.unit(), req, this);
-    state->issuedAt = machine_.eq(c.unit()).now();
+    ++machine_.stats().syncOps;
+    auto state =
+        std::make_unique<detail::FutureState>(machine_, c.id(), req, this);
+    state->issuedAt = machine_.eq().now();
     notifyIssue(c.id(), req, state->issuedAt);
     return state;
 }
@@ -331,17 +322,17 @@ SyncApi::issueDetached(core::Core &c, const SyncPrimitive &prim,
         return;
     }
     checkLive(prim);
-    ++machine_.statsFor(c.unit()).syncOps;
-    sim::Gate gate(machine_.eq(c.unit()));
-    const Tick issued = machine_.eq(c.unit()).now();
+    ++machine_.stats().syncOps;
+    sim::Gate gate(machine_.eq());
+    const Tick issued = machine_.eq().now();
     notifyIssue(c.id(), req, issued);
     backend_.request(c, req, &gate);
     SYNCRON_ASSERT(gate.opened(),
                    "backend " << backend_.name() << " did not commit "
                               << opKindName(req.kind()) << " at issue");
-    machine_.statsFor(c.unit()).recordSyncLatency(
+    machine_.stats().recordSyncLatency(
         static_cast<unsigned>(req.kind()),
-        machine_.eq(c.unit()).now() + c.cyclePeriod() - issued);
+        machine_.eq().now() + c.cyclePeriod() - issued);
     // req_async commits at issue and no coroutine ever observes this
     // operation, so the record carries completion == issue tick; a
     // trace must count every guard-scope-exit release.
@@ -443,7 +434,7 @@ ScopedLockOp
 SyncApi::scoped(core::Core &c, const Lock &lock)
 {
     checkLive(lock);
-    ++machine_.statsFor(c.unit()).syncOps;
+    ++machine_.stats().syncOps;
     return ScopedLockOp{*this, c, lock, backend_};
 }
 

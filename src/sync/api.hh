@@ -94,18 +94,17 @@ void recordIssue(SyncApi *api, CoreId core, const SyncRequest &req,
  */
 struct FutureState
 {
-    FutureState(Machine &machine, CoreId core, UnitId unit,
-                const SyncRequest &req, SyncApi *api)
-        : machine(machine), gate(machine.eq(unit)), req(req), api(api),
-          core(core), unit(unit)
+    FutureState(Machine &machine, CoreId core, const SyncRequest &req,
+                SyncApi *api)
+        : machine(machine), gate(machine.eq()), req(req), api(api),
+          core(core)
     {}
 
     Machine &machine;
-    sim::Gate gate; ///< lives on the issuing core's shard queue
+    sim::Gate gate; ///< opened when the operation completes
     SyncRequest req;
     SyncApi *api;
     CoreId core;
-    UnitId unit; ///< issuing core's unit (shard-local clock reads)
     Tick issuedAt = 0;
     bool recorded = false;
 
@@ -202,7 +201,7 @@ class SyncFuture
         SyncResponse resp;
         resp.kind = state_->req.kind();
         resp.issuedAt = state_->issuedAt;
-        resp.completedAt = state_->machine.eq(state_->unit).now();
+        resp.completedAt = state_->machine.eq().now();
         resp.payload = state_->gate.await_resume();
         state_->finalize(resp.completedAt);
         return resp;
@@ -264,7 +263,7 @@ class SyncOp
     SyncOp(core::Core &core, SyncBackend &backend, const SyncRequest &req,
            SyncApi *api = nullptr)
         : core_(core), backend_(backend),
-          gate_(core.machine().eq(core.unit())), req_(req), api_(api)
+          gate_(core.machine().eq()), req_(req), api_(api)
     {}
 
     SyncOp(const SyncOp &) = delete;
@@ -275,7 +274,7 @@ class SyncOp
     void
     await_suspend(std::coroutine_handle<> h)
     {
-        issuedAt_ = core_.machine().eq(core_.unit()).now();
+        issuedAt_ = core_.machine().eq().now();
         detail::recordIssue(api_, core_.id(), req_, issuedAt_);
         backend_.request(core_, req_, &gate_);
         // The gate handles both orders: backend already opened it
@@ -289,7 +288,7 @@ class SyncOp
         SyncResponse resp;
         resp.kind = req_.kind();
         resp.issuedAt = issuedAt_;
-        resp.completedAt = core_.machine().eq(core_.unit()).now();
+        resp.completedAt = core_.machine().eq().now();
         resp.payload = gate_.await_resume();
         detail::recordCompletion(core_.machine(), api_, core_.id(), req_,
                                  issuedAt_, resp.completedAt);
@@ -614,7 +613,7 @@ class SyncApi
     void
     accessHint(const core::Core &c, Addr addr, bool isWrite)
     {
-        const Tick now = machine_.eq(c.unit()).now();
+        const Tick now = machine_.eq().now();
         if (observer_ != nullptr)
             observer_->onAccess(c.id(), addr, isWrite, now);
         for (OpObserver *aux : auxObservers_)

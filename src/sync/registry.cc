@@ -13,12 +13,12 @@ BackendRegistry::instance()
 }
 
 void
-BackendRegistry::add(std::string name, Factory factory, bool shardable)
+BackendRegistry::add(std::string name, Factory factory)
 {
     SYNCRON_ASSERT(factory != nullptr,
                    "null factory for backend '" << name << "'");
-    auto [it, inserted] = factories_.emplace(
-        std::move(name), Entry{std::move(factory), shardable});
+    auto [it, inserted] =
+        factories_.emplace(std::move(name), std::move(factory));
     SYNCRON_ASSERT(inserted,
                    "backend '" << it->first << "' registered twice");
 }
@@ -29,20 +29,13 @@ BackendRegistry::contains(std::string_view name) const
     return factories_.find(name) != factories_.end();
 }
 
-bool
-BackendRegistry::shardable(std::string_view name) const
-{
-    auto it = factories_.find(name);
-    return it != factories_.end() && it->second.shardable;
-}
-
 std::unique_ptr<SyncBackend>
 BackendRegistry::tryCreate(std::string_view name, Machine &machine) const
 {
     auto it = factories_.find(name);
     if (it == factories_.end())
         return nullptr;
-    return it->second.factory(machine);
+    return it->second(machine);
 }
 
 std::unique_ptr<SyncBackend>
@@ -73,16 +66,15 @@ BackendRegistry::names() const
 {
     std::vector<std::string> out;
     out.reserve(factories_.size());
-    for (const auto &[name, entry] : factories_)
+    for (const auto &[name, factory] : factories_)
         out.push_back(name);
     return out; // std::map iteration is already sorted
 }
 
 BackendRegistration::BackendRegistration(const char *name,
-                                         BackendRegistry::Factory factory,
-                                         bool shardable)
+                                         BackendRegistry::Factory factory)
 {
-    BackendRegistry::instance().add(name, std::move(factory), shardable);
+    BackendRegistry::instance().add(name, std::move(factory));
 }
 
 } // namespace syncron::sync

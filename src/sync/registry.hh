@@ -42,22 +42,11 @@ class BackendRegistry
     /** The process-wide registry (initialized on first use). */
     static BackendRegistry &instance();
 
-    /**
-     * Registers @p factory under @p name; duplicate names are fatal.
-     * @p shardable declares the backend safe for sharded simulation
-     * (SystemConfig::simShards > 1): its agents reach other units only
-     * through Machine's mailbox primitives. Backends that touch foreign
-     * units synchronously (Ideal's zero-latency grants, the MiSAR
-     * overflow ablations) stay non-shardable and collapse sharded runs
-     * to one shard.
-     */
-    void add(std::string name, Factory factory, bool shardable = false);
+    /** Registers @p factory under @p name; duplicate names are fatal. */
+    void add(std::string name, Factory factory);
 
     /** True when a backend is registered under @p name. */
     bool contains(std::string_view name) const;
-
-    /** True when @p name is registered and declared shard-safe. */
-    bool shardable(std::string_view name) const;
 
     /**
      * Instantiates the backend registered under @p name on @p machine.
@@ -79,20 +68,13 @@ class BackendRegistry
   private:
     BackendRegistry() = default;
 
-    struct Entry
-    {
-        Factory factory;
-        bool shardable = false;
-    };
-
-    std::map<std::string, Entry, std::less<>> factories_;
+    std::map<std::string, Factory, std::less<>> factories_;
 };
 
 /** Registers a backend factory at static-initialization time. */
 struct BackendRegistration
 {
-    BackendRegistration(const char *name, BackendRegistry::Factory factory,
-                        bool shardable = false);
+    BackendRegistration(const char *name, BackendRegistry::Factory factory);
 };
 
 } // namespace syncron::sync
@@ -112,17 +94,5 @@ struct BackendRegistration
     static const ::syncron::sync::BackendRegistration                       \
         SYNCRON_REGISTRY_CONCAT(syncronBackendRegistration_, __COUNTER__){  \
             name, __VA_ARGS__}
-
-/**
- * Like SYNCRON_REGISTER_BACKEND, but declares the backend safe for
- * sharded simulation (see BackendRegistry::add): its agents never touch
- * a foreign unit's queue, gates, or devices synchronously — all
- * cross-unit work goes through Machine::postMessage()/
- * memoryAccessAsync().
- */
-#define SYNCRON_REGISTER_BACKEND_SHARDABLE(name, ...)                       \
-    static const ::syncron::sync::BackendRegistration                       \
-        SYNCRON_REGISTRY_CONCAT(syncronBackendRegistration_, __COUNTER__){  \
-            name, __VA_ARGS__, /*shardable=*/true}
 
 #endif // SYNCRON_SYNC_REGISTRY_HH

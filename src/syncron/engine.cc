@@ -61,15 +61,15 @@ SynCronBackend::SynCronBackend(Machine &machine, EngineOptions opts)
 
     for (unsigned u = 0; u < cfg.numUnits; ++u) {
         stations_.push_back(std::make_unique<Station>(
-            u, entries, cfg.indexingCounters, machine.statsFor(u)));
+            u, entries, cfg.indexingCounters, machine.stats()));
         if (opts_.station == StationKind::ServerCore) {
             Station &s = *stations_.back();
             s.l1 = std::make_unique<cache::Cache>(cfg.l1,
-                                                  machine.statsFor(u));
+                                                  machine.stats());
             // Shadow tracking records come from a per-station region
-            // reserved here (host side, deterministic order) rather than
-            // the shared allocator, whose state would otherwise depend
-            // on cross-shard allocation order.
+            // reserved here rather than the shared allocator, so their
+            // addresses (which pick DRAM banks and rows) do not depend
+            // on what else the run allocated first.
             constexpr Addr kShadowRegionBytes = 1u << 20;
             s.shadowNext = machine.addrSpace().allocIn(
                 u, kShadowRegionBytes, kCacheLineBytes);
@@ -109,10 +109,8 @@ SynCronBackend::globalCoreId(UnitId unit, unsigned local) const
 void
 SynCronBackend::finalizeStats()
 {
-    // maxNow() is the tick of the run's last event — identical whether
-    // the run was sharded or not, keeping the occupancy integrals in the
-    // bit-identity contract.
-    const Tick now = machine_.maxNow();
+    // The tick of the run's last event closes the occupancy integrals.
+    const Tick now = machine_.eq().now();
     for (auto &s : stations_)
         s->table.finalize(now);
 }
@@ -244,11 +242,11 @@ SynCronBackend::request(core::Core &requester, const SyncRequest &req,
 
     const UnitId unit = requester.unit();
     const Tick arrival = machine_.routeMessage(
-        machine_.eq(unit).now(), unit, unit, sync::kSyncReqBits);
-    ++machine_.statsFor(unit).syncLocalMsgs;
+        machine_.eq().now(), unit, unit, sync::kSyncReqBits);
+    ++machine_.stats().syncLocalMsgs;
     ++stations_[unit]->inFlightLocal[req.var()];
-    machine_.eq(unit).schedule(arrival,
-                               [this, unit, msg] { receive(unit, msg); });
+    machine_.eq().schedule(arrival,
+                           [this, unit, msg] { receive(unit, msg); });
 }
 
 void
@@ -297,13 +295,13 @@ SynCronBackend::requestBatch(core::Core &requester,
 
     const auto n = static_cast<std::uint32_t>(reqs.size());
     const Tick arrival = machine_.routeMessage(
-        machine_.eq(unit).now(), unit, unit, sync::batchReqBits(reqs));
-    SystemStats &st = machine_.statsFor(unit);
+        machine_.eq().now(), unit, unit, sync::batchReqBits(reqs));
+    SystemStats &st = machine_.stats();
     ++st.syncLocalMsgs;
     st.batchedOps += n;
     st.messagesSaved += n - 1;
-    machine_.eq(unit).schedule(arrival, [this, unit,
-                                         msgs = std::move(msgs)] {
+    machine_.eq().schedule(arrival, [this, unit,
+                                     msgs = std::move(msgs)] {
         for (const SyncMessage &m : msgs)
             receive(unit, m);
     });
@@ -316,12 +314,12 @@ SynCronBackend::sendToStation(UnitId from, UnitId to, SyncMessage msg,
     SYNCRON_ASSERT(from != to, "station self-send of " << opName(msg.opcode));
     if (sync::isOverflowOp(msg.opcode)
         || msg.opcode == Op::DecreaseIndexingCounter) {
-        ++machine_.statsFor(from).syncOverflowMsgs;
+        ++machine_.stats().syncOverflowMsgs;
     } else {
-        ++machine_.statsFor(from).syncGlobalMsgs;
+        ++machine_.stats().syncGlobalMsgs;
     }
-    // The engine's only cross-unit transport: under sharded simulation
-    // this becomes a mailbox envelope delivered on @p to 's shard.
+    // The engine's only cross-unit transport: a mailbox envelope
+    // delivered to @p to at the next window barrier.
     machine_.postMessage(depart, from, to, sync::kSyncReqBits,
                          [this, to, msg] { receive(to, msg); });
 }
@@ -334,9 +332,9 @@ SynCronBackend::grantCore(UnitId seUnit, CoreId core, Addr var,
                    "grant must come from the core's own unit");
     const Tick arrival = machine_.routeMessage(depart, seUnit, seUnit,
                                                sync::kSyncRespBits);
-    ++machine_.statsFor(seUnit).syncLocalMsgs;
+    ++machine_.stats().syncLocalMsgs;
     sim::Gate *gate = takePendingGate(core, var);
-    gate->open(0, arrival - machine_.eq(seUnit).now());
+    gate->open(0, arrival - machine_.eq().now());
 }
 
 // --------------------------------------------------------------------
@@ -369,8 +367,8 @@ SynCronBackend::serverStateAccess(Station &s, Addr var, Tick start)
     if (!isMaster(s, var)) {
         auto it = s.shadow.find(var);
         if (it == s.shadow.end()) {
-            // Carve from the station's private region (deterministic and
-            // shard-local; see the reservation in the constructor).
+            // Carve from the station's private region (see the
+            // reservation in the constructor).
             SYNCRON_ASSERT(s.shadowNext < s.shadowEnd,
                            "server shadow region exhausted at unit "
                                << s.unit);
@@ -403,12 +401,12 @@ void
 SynCronBackend::receive(UnitId unit, SyncMessage msg)
 {
     Station &s = *stations_[unit];
-    const Tick now = machine_.eq(unit).now();
+    const Tick now = machine_.eq().now();
     const Tick start = std::max(now, s.busyUntil);
     // Reserve the SPU; handle() extends the reservation if the message
     // needs memory accesses (overflow path / server state access).
     s.busyUntil = start + baseServiceTicks(s, msg.addr);
-    machine_.eq(unit).schedule(start, [this, unit, msg] {
+    machine_.eq().schedule(start, [this, unit, msg] {
         handle(*stations_[unit], msg);
     });
 }
@@ -416,7 +414,7 @@ SynCronBackend::receive(UnitId unit, SyncMessage msg)
 void
 SynCronBackend::handle(Station &s, SyncMessage msg)
 {
-    const Tick now = machine_.eq(s.unit).now();
+    const Tick now = machine_.eq().now();
     Tick done = now + baseServiceTicks(s, msg.addr);
 
     // Local-opcode messages come only from cores via request(); once the
@@ -542,7 +540,7 @@ SynCronBackend::Route
 SynCronBackend::routeFor(Station &s, Addr var, bool acquireType,
                          bool global)
 {
-    ++machine_.statsFor(s.unit).stRequests;
+    ++machine_.stats().stRequests;
     if (s.table.find(var) != nullptr)
         return Route::Table;
 
@@ -552,13 +550,13 @@ SynCronBackend::routeFor(Station &s, Addr var, bool acquireType,
         if (s.memVars.count(var) != 0
             || s.counters.servicedViaMemory(var) || s.table.full()) {
             ++s.overflowedReqs;
-            ++machine_.statsFor(s.unit).stOverflowEvents;
+            ++machine_.stats().stOverflowEvents;
             return Route::Memory;
         }
     } else if (s.counters.servicedViaMemory(var) || s.table.full()
                || s.hasRedirected(var)) {
         ++s.overflowedReqs;
-        ++machine_.statsFor(s.unit).stOverflowEvents;
+        ++machine_.stats().stOverflowEvents;
         SYNCRON_ASSERT(!global, "global message routed to non-master");
         // Non-master overflowed SE: redirect to the Master SE and track
         // the variable as serviced-via-memory (Section 4.3.2). Under the
@@ -573,7 +571,7 @@ SynCronBackend::routeFor(Station &s, Addr var, bool acquireType,
         return Route::Redirect;
     }
 
-    StEntry *e = s.table.alloc(var, machine_.eq(s.unit).now());
+    StEntry *e = s.table.alloc(var, machine_.eq().now());
     SYNCRON_ASSERT(e != nullptr, "alloc failed with non-full table");
     return Route::Table;
 }
@@ -635,7 +633,7 @@ SynCronBackend::masterNextGrant(Station &s, StEntry &e, Tick done)
     } else {
         e.ownerKind = LockOwner::None;
         e.grantStreak = 0;
-        maybeFree(s, e, machine_.eq(s.unit).now());
+        maybeFree(s, e, machine_.eq().now());
     }
 }
 
@@ -755,7 +753,7 @@ SynCronBackend::onLockReleaseLocal(Station &s, const SyncMessage &m,
         req.coreId = s.unit;
         sendToStation(s.unit, masterOf(m.addr), req, done);
     } else {
-        maybeFree(s, e, machine_.eq(s.unit).now());
+        maybeFree(s, e, machine_.eq().now());
     }
 }
 
@@ -823,7 +821,7 @@ SynCronBackend::onLockGrantGlobal(Station &s, const SyncMessage &m,
         rel.opcode = Op::LockReleaseGlobal;
         rel.coreId = s.unit;
         sendToStation(s.unit, masterOf(m.addr), rel, done);
-        maybeFree(s, *e, machine_.eq(s.unit).now());
+        maybeFree(s, *e, machine_.eq().now());
     }
 }
 
@@ -905,7 +903,7 @@ SynCronBackend::masterBarrierCheck(Station &s, StEntry &e,
         sendToStation(s.unit, j, depart, done);
     }
     departLocalWaiters(s, e, done);
-    maybeFree(s, e, machine_.eq(s.unit).now());
+    maybeFree(s, e, machine_.eq().now());
 }
 
 void
@@ -935,7 +933,7 @@ SynCronBackend::onBarrierWaitLocal(Station &s, const SyncMessage &m,
         if (e.barrierArrived == m.barrierTotal()) {
             e.barrierArrived = 0;
             departLocalWaiters(s, e, done);
-            maybeFree(s, e, machine_.eq(s.unit).now());
+            maybeFree(s, e, machine_.eq().now());
         }
         return;
     }
@@ -1005,7 +1003,7 @@ SynCronBackend::onBarrierDepartGlobal(Station &s, const SyncMessage &m,
     e->barrierArrived = 0;
     e->barrierGlobalSent = false;
     departLocalWaiters(s, *e, done);
-    maybeFree(s, *e, machine_.eq(s.unit).now());
+    maybeFree(s, *e, machine_.eq().now());
 }
 
 // --------------------------------------------------------------------
@@ -1212,7 +1210,7 @@ SynCronBackend::onSemGrantGlobal(Station &s, const SyncMessage &m,
         sendToStation(s.unit, masterOf(m.addr), wait, done);
     } else {
         e->semArmed = false;
-        maybeFree(s, *e, machine_.eq(s.unit).now());
+        maybeFree(s, *e, machine_.eq().now());
     }
 }
 
@@ -1252,7 +1250,7 @@ SynCronBackend::masterCondSignal(Station &s, StEntry &e, bool broadcast,
         }
     } while (broadcast
              && (e.localWaitBits != 0 || e.globalWaitBits != 0));
-    maybeFree(s, e, machine_.eq(s.unit).now());
+    maybeFree(s, e, machine_.eq().now());
 }
 
 void
@@ -1409,7 +1407,7 @@ SynCronBackend::onCondGrantGlobal(Station &s, const SyncMessage &m, bool,
             sig.coreId = s.unit;
             sendToStation(s.unit, masterOf(m.addr), sig, done);
         }
-        maybeFree(s, *e, machine_.eq(s.unit).now());
+        maybeFree(s, *e, machine_.eq().now());
         return;
     }
     do {
@@ -1428,11 +1426,11 @@ SynCronBackend::onCondGrantGlobal(Station &s, const SyncMessage &m, bool,
         sendToStation(s.unit, masterOf(m.addr), wait, done);
     } else {
         e->condArmed = false;
-        maybeFree(s, *e, machine_.eq(s.unit).now());
+        maybeFree(s, *e, machine_.eq().now());
     }
 }
 
-SYNCRON_REGISTER_BACKEND_SHARDABLE("SynCron", [](Machine &m) {
+SYNCRON_REGISTER_BACKEND("SynCron", [](Machine &m) {
     return std::make_unique<SynCronBackend>(m);
 });
 

@@ -143,11 +143,10 @@ class SynCronBackend : public sync::SyncBackend
     };
 
     /**
-     * Per-unit synchronization station (SE or software server). All of a
-     * station's state — including the in-memory overflow records for
-     * variables homed in its unit and the in-flight accounting for its
-     * local cores' requests — is touched only from the shard owning the
-     * unit, which is what makes the backend shardable.
+     * Per-unit synchronization station (SE or software server): its
+     * state includes the in-memory overflow records for variables homed
+     * in its unit and the in-flight accounting for its local cores'
+     * requests. Other units reach it only through messages.
      */
     struct Station
     {
@@ -160,8 +159,8 @@ class SynCronBackend : public sync::SyncBackend
         /// ServerCore mode: local shadow tracking addresses per variable.
         std::unordered_map<Addr, Addr> shadow;
         /// ServerCore mode: deterministic bump region for shadow records
-        /// (reserved at construction; a shared allocator would make the
-        /// addresses depend on cross-shard allocation order).
+        /// (reserved at construction, so the addresses do not depend on
+        /// what else the run allocated first).
         Addr shadowNext = 0;
         Addr shadowEnd = 0;
         /// syncronVar records for variables homed in this unit (only the
@@ -371,9 +370,8 @@ class SynCronBackend : public sync::SyncBackend
     /// Pending gates per global core id, FIFO within a matching key —
     /// one entry per in-flight acquire-type operation (plural since the
     /// async submission api lets a core pipeline operations). Sized at
-    /// construction; a core's slot is only touched from its own shard
-    /// (requests are added there, and grants always come from the core's
-    /// local station).
+    /// construction; requests are added by the core, and grants always
+    /// come from the core's local station.
     std::vector<std::vector<PendingGate>> gates_;
     durability::PersistHook *persistHook_ = nullptr;
 

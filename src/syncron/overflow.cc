@@ -104,7 +104,7 @@ SynCronBackend::memVarAccess(Station &s, Addr var, Tick start)
                                    sync::kSyncronVarBytes);
     t = machine_.memoryAccess(t, s.unit, var, true,
                               sync::kSyncronVarBytes);
-    machine_.statsFor(s.unit).syncMemAccesses += 2;
+    machine_.stats().syncMemAccesses += 2;
     if (persistHook_ != nullptr)
         persistHook_->persistMemVar(s.unit, var);
     return t;
@@ -217,7 +217,7 @@ SynCronBackend::handleOverflowAtMaster(Station &s, const SyncMessage &m,
         *e = StEntry{};
         e->addr = m.addr;
         e->occupied = true;
-        s.table.release(m.addr, machine_.eq(s.unit).now());
+        s.table.release(m.addr, machine_.eq().now());
     }
 
     const UnitId fromSe = m.coreId / 256;
@@ -668,14 +668,6 @@ SynCronBackend::misarActive() const
 SynCronBackend::SoftServer &
 SynCronBackend::softServerFor(Addr var)
 {
-    // The software fallback runs every diverted op through one shared
-    // server on shard 0's queue (eq()) with synchronous routeMessage
-    // hops — a single-queue path. Under sharding that would be a
-    // cross-shard schedule from a foreign worker thread, so fail loudly
-    // instead of racing. (Both divert entry points come through here.)
-    SYNCRON_ASSERT(machine_.numShards() == 1,
-                   "ST overflow software fallback is a single-queue "
-                   "path; run overflow configs with --sim-shards=1");
     if (opts_.overflow == OverflowPolicy::MisarCentral)
         return softServers_[0];
     return softServers_[masterOf(var)];

@@ -52,19 +52,6 @@ SystemConfig::validate() const
         SYNCRON_FATAL("persistEpochOps must be >= 1");
     if (pm.writeTicks < 1)
         SYNCRON_FATAL("pm.writeTicks must be >= 1");
-    if (simShards < 1)
-        SYNCRON_FATAL("simShards must be >= 1");
-    if (simShards > 1) {
-        // These subsystems assume one event stream / one teardown
-        // order; the harness surfaces the same constraints as
-        // --sim-shards usage errors.
-        if (!tracePath.empty())
-            SYNCRON_FATAL("trace capture requires simShards == 1");
-        if (crashAtTick != 0)
-            SYNCRON_FATAL("crash injection requires simShards == 1");
-        if (persistMode != durability::PersistMode::Off)
-            SYNCRON_FATAL("durability requires simShards == 1");
-    }
 }
 
 SystemConfig

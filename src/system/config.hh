@@ -163,19 +163,6 @@ struct SystemConfig
      */
     Tick crashAtTick = 0;
 
-    // -- Sharded simulation (conservative PDES; sim/sharded_kernel.hh)
-    /**
-     * Host threads the one simulation is sharded across. Units are
-     * split into contiguous blocks, one per shard, each owning a
-     * private EventQueue; cross-unit traffic crosses shard boundaries
-     * through Machine's mailbox with a conservative lookahead derived
-     * from the link + crossbar latencies. Results are bit-identical to
-     * simShards = 1. Clamped to numUnits; collapses to 1 when the
-     * selected backend is not shard-safe (sync::BackendRegistry) or
-     * when the lookahead is zero (zero-latency sweeps -> lockstep).
-     */
-    unsigned simShards = 1;
-
     /** Total number of client cores in the system. */
     unsigned
     totalClientCores() const

@@ -6,41 +6,48 @@
 
 namespace syncron {
 
+namespace {
+
+/**
+ * Floor of any cross-unit path: the source-crossbar traversal of a
+ * minimal (one-flit) message, the link controller overhead, and the
+ * link flight time. Serialization (>= 1 tick) and the destination
+ * crossbar add further margin on top — envelopes stamp the real, larger
+ * arrival tick; this bound only has to be conservative.
+ */
+Tick
+crossUnitFloor(const SystemConfig &cfg)
+{
+    const net::CrossbarParams &x = cfg.xbar;
+    const Tick srcXbar =
+        static_cast<Tick>(x.arbiterCycles + x.hops * x.hopCycles + 1)
+        * x.cyclePeriod;
+    const net::LinkParams &l = cfg.link;
+    const Tick linkFloor =
+        static_cast<Tick>(l.ctrlCycles) * l.cyclePeriod + l.flightTicks;
+    return srcXbar + linkFloor;
+}
+
+} // namespace
+
 Machine::Machine(const SystemConfig &cfg)
     : cfg_(cfg), addrSpace_(cfg.numUnits)
 {
     cfg_.validate();
-
-    const Tick la = lookahead();
-    unsigned shardCount = std::min(cfg_.simShards, cfg_.numUnits);
-    if (la == 0) {
-        // Zero-latency sweep: no conservative window exists, fall back
-        // to lockstep (one shard, synchronous transport).
-        shardCount = 1;
-    }
-    mailboxActive_ = la > 0;
-    unitsPerShard_ = (cfg_.numUnits + shardCount - 1) / shardCount;
-    const unsigned actualShards =
-        (cfg_.numUnits + unitsPerShard_ - 1) / unitsPerShard_;
-    shards_.reserve(actualShards);
-    for (unsigned s = 0; s < actualShards; ++s)
-        shards_.push_back(std::make_unique<Shard>());
+    lookahead_ = crossUnitFloor(cfg_);
+    mailboxActive_ = lookahead_ > 0;
     unitSeq_.assign(cfg_.numUnits, 0);
 
     const mem::DramParams dramParams =
         mem::DramParams::forTech(cfg_.dramTech);
     xbars_.reserve(cfg_.numUnits);
     drams_.reserve(cfg_.numUnits);
-    std::vector<SystemStats *> linkStats;
-    linkStats.reserve(cfg_.numUnits);
     for (unsigned u = 0; u < cfg_.numUnits; ++u) {
-        SystemStats &st = statsFor(u);
-        xbars_.push_back(std::make_unique<net::Crossbar>(cfg_.xbar, st));
-        drams_.push_back(std::make_unique<mem::Dram>(dramParams, st));
-        linkStats.push_back(&st);
+        xbars_.push_back(std::make_unique<net::Crossbar>(cfg_.xbar, stats_));
+        drams_.push_back(std::make_unique<mem::Dram>(dramParams, stats_));
     }
     links_ = std::make_unique<net::LinkFabric>(cfg_.numUnits, cfg_.link,
-                                               std::move(linkStats));
+                                               stats_);
 }
 
 Machine::~Machine() = default;
@@ -59,81 +66,22 @@ Machine::dram(UnitId unit)
     return *drams_[unit];
 }
 
-std::vector<sim::EventQueue *>
-Machine::shardQueues()
-{
-    std::vector<sim::EventQueue *> queues;
-    queues.reserve(shards_.size());
-    for (auto &s : shards_)
-        queues.push_back(&s->eq);
-    return queues;
-}
-
-Tick
-Machine::lookahead() const
-{
-    // Floor of any cross-unit path: the source-crossbar traversal of a
-    // minimal (one-flit) message, the link controller overhead, and the
-    // link flight time. Serialization (>= 1 tick) and the destination
-    // crossbar add further margin on top — envelopes stamp the real,
-    // larger arrival tick; this bound only has to be conservative.
-    const net::CrossbarParams &x = cfg_.xbar;
-    const Tick srcXbar =
-        static_cast<Tick>(x.arbiterCycles + x.hops * x.hopCycles + 1)
-        * x.cyclePeriod;
-    const net::LinkParams &l = cfg_.link;
-    const Tick linkFloor =
-        static_cast<Tick>(l.ctrlCycles) * l.cyclePeriod + l.flightTicks;
-    return srcXbar + linkFloor;
-}
-
-std::uint64_t
-Machine::executedEvents() const
-{
-    std::uint64_t total = 0;
-    for (const auto &s : shards_)
-        total += s->eq.executed();
-    return total;
-}
-
-std::uint64_t
-Machine::heapPushes() const
-{
-    std::uint64_t total = 0;
-    for (const auto &s : shards_)
-        total += s->eq.heapPushes();
-    return total;
-}
-
-std::size_t
-Machine::pendingEvents() const
-{
-    std::size_t total = 0;
-    for (const auto &s : shards_) {
-        total += s->eq.pending();
-        total += s->outbox.size();
-    }
-    return total;
-}
-
-Tick
-Machine::maxNow() const
-{
-    Tick t = 0;
-    for (const auto &s : shards_)
-        t = std::max(t, s->eq.now());
-    return t;
-}
-
 void
-Machine::mergeShardStats()
+Machine::run(Tick until)
 {
-    if (statsMerged_)
-        return;
-    statsMerged_ = true;
-    for (std::size_t s = 1; s < shards_.size(); ++s) {
-        shards_[0]->stats += shards_[s]->stats;
-        shards_[s]->stats.reset();
+    for (;;) {
+        drainMailboxes();
+        const Tick w = eq_.nextTime();
+        if (w == kTickNever || w > until)
+            break;
+        // run(limit) is inclusive: the window covers
+        // [w, w + lookahead - 1], so no event inside it can post an
+        // envelope (stamped >= t + lookahead) that lands inside the
+        // same window. Without a lookahead the queue steps one tick at
+        // a time.
+        const Tick limit = mailboxActive_ ? w + lookahead_ - 1 : w;
+        eq_.run(std::min(limit, until));
+        ++windows_;
     }
 }
 
@@ -174,24 +122,21 @@ Machine::postMessage(Tick start, UnitId from, UnitId to,
 {
     if (from == to) {
         const Tick t = xbar(from).transfer(start, bits);
-        eq(from).schedule(t, std::move(cont));
+        eq_.schedule(t, std::move(cont));
         return;
     }
     if (!mailboxActive_) {
-        // Zero-lookahead fallback: single shard, synchronous transport.
+        // Zero-lookahead fallback: synchronous transport.
         const Tick t = routeMessage(start, from, to, bits);
-        eq(to).schedule(t, std::move(cont));
+        eq_.schedule(t, std::move(cont));
         return;
     }
-    // Source-side legs run synchronously on the caller's shard (it owns
-    // both the source crossbar and every (from, *) link direction); the
-    // destination crossbar is paid by deliverEnvelope() on the owning
-    // shard at the stamped arrival.
+    // Source-side legs run now; the destination crossbar is paid by
+    // deliverEnvelope() at the stamped arrival.
     Tick t = xbar(from).transfer(start, bits);
     t = links_->send(t, from, to, (bits + 7) / 8);
-    Shard &src = *shards_[shardOf(from)];
-    src.outbox.push_back(Envelope{t, bits, to, from, unitSeq_[from]++,
-                                  std::move(cont)});
+    outbox_.push_back(Envelope{t, bits, to, from, unitSeq_[from]++,
+                               std::move(cont)});
 }
 
 void
@@ -204,26 +149,24 @@ Machine::memoryAccessAsync(Tick start, UnitId from, Addr addr,
                    "access to address outside the system: " << addr);
     if (home == from || !mailboxActive_) {
         const Tick done = memoryAccess(start, from, addr, isWrite, bytes);
-        eq(from).schedule(done, std::move(onDone));
+        eq_.schedule(done, std::move(onDone));
         return;
     }
-    // Park the completion callback at the requester's shard and thread
-    // its slot index through both envelopes — nesting the callback
-    // itself would overflow the inline-callback bound.
-    const std::uint32_t pend =
-        parkMemCallback(*shards_[shardOf(from)], std::move(onDone));
+    // Park the completion callback and thread its slot index through
+    // both envelopes — nesting the callback itself would overflow the
+    // inline-callback bound.
+    const std::uint32_t pend = parkMemCallback(std::move(onDone));
     const std::uint32_t reqBits =
         kMemReqHeaderBits + (isWrite ? bytes * 8 : 0);
     postMessage(start, from, home, reqBits,
                 [this, addr, isWrite, bytes, from, pend] {
                     const UnitId h = mem::unitOfAddr(addr);
-                    const Tick t = dram(h).access(eq(h).now(), addr,
+                    const Tick t = dram(h).access(eq_.now(), addr,
                                                   isWrite, bytes);
                     const std::uint32_t respBits =
                         kMemRespHeaderBits + (isWrite ? 0 : bytes * 8);
-                    postMessage(t, h, from, respBits, [this, from, pend] {
-                        completeMemOp(from, pend);
-                    });
+                    postMessage(t, h, from, respBits,
+                                [this, pend] { completeMemOp(pend); });
                 });
 }
 
@@ -243,7 +186,7 @@ Machine::memoryAccessDetached(Tick start, UnitId from, Addr addr,
     postMessage(start, from, home, reqBits,
                 [this, addr, isWrite, bytes, from] {
                     const UnitId h = mem::unitOfAddr(addr);
-                    const Tick t = dram(h).access(eq(h).now(), addr,
+                    const Tick t = dram(h).access(eq_.now(), addr,
                                                   isWrite, bytes);
                     const std::uint32_t respBits =
                         kMemRespHeaderBits + (isWrite ? 0 : bytes * 8);
@@ -253,72 +196,58 @@ Machine::memoryAccessDetached(Tick start, UnitId from, Addr addr,
 }
 
 std::uint32_t
-Machine::allocInflight(Shard &shard, Envelope &&env)
+Machine::allocInflight(Envelope &&env)
 {
-    if (!shard.inflightFree.empty()) {
-        const std::uint32_t idx = shard.inflightFree.back();
-        shard.inflightFree.pop_back();
-        shard.inflight[idx] = std::move(env);
+    if (!inflightFree_.empty()) {
+        const std::uint32_t idx = inflightFree_.back();
+        inflightFree_.pop_back();
+        inflight_[idx] = std::move(env);
         return idx;
     }
-    shard.inflight.push_back(std::move(env));
-    return static_cast<std::uint32_t>(shard.inflight.size() - 1);
+    inflight_.push_back(std::move(env));
+    return static_cast<std::uint32_t>(inflight_.size() - 1);
 }
 
 void
-Machine::deliverEnvelope(unsigned shard, std::uint32_t idx)
+Machine::deliverEnvelope(std::uint32_t idx)
 {
-    Shard &sh = *shards_[shard];
-    Envelope env = std::move(sh.inflight[idx]);
-    sh.inflightFree.push_back(idx);
+    Envelope env = std::move(inflight_[idx]);
+    inflightFree_.push_back(idx);
     // The envelope's stamp is the link arrival; the destination-crossbar
-    // traversal happens now, on the owning shard.
-    const Tick t = xbar(env.to).transfer(sh.eq.now(), env.bits);
-    sh.eq.schedule(t, std::move(env.cont));
+    // traversal happens now.
+    const Tick t = xbar(env.to).transfer(eq_.now(), env.bits);
+    eq_.schedule(t, std::move(env.cont));
 }
 
 std::uint32_t
-Machine::parkMemCallback(Shard &shard, Callback cb)
+Machine::parkMemCallback(Callback cb)
 {
-    if (!shard.memPendingFree.empty()) {
-        const std::uint32_t idx = shard.memPendingFree.back();
-        shard.memPendingFree.pop_back();
-        shard.memPending[idx] = std::move(cb);
+    if (!memPendingFree_.empty()) {
+        const std::uint32_t idx = memPendingFree_.back();
+        memPendingFree_.pop_back();
+        memPending_[idx] = std::move(cb);
         return idx;
     }
-    shard.memPending.push_back(std::move(cb));
-    return static_cast<std::uint32_t>(shard.memPending.size() - 1);
+    memPending_.push_back(std::move(cb));
+    return static_cast<std::uint32_t>(memPending_.size() - 1);
 }
 
 void
-Machine::completeMemOp(UnitId requester, std::uint32_t idx)
+Machine::completeMemOp(std::uint32_t idx)
 {
-    Shard &sh = *shards_[shardOf(requester)];
-    Callback cb = std::move(sh.memPending[idx]);
-    sh.memPendingFree.push_back(idx);
+    Callback cb = std::move(memPending_[idx]);
+    memPendingFree_.push_back(idx);
     cb();
 }
 
 void
 Machine::drainMailboxes()
 {
-    // Gather every shard's outbox, order by (arrival, source unit,
-    // per-unit sequence) — a total order independent of the shard
-    // count — and schedule one delivery event per envelope. Runs only
-    // at window barriers, so touching every queue is safe. The gather
-    // buffer and the outboxes trade storage by swapping, so neither
-    // gives its capacity back between windows.
-    std::vector<Envelope> &batch = drainBuf_;
-    for (auto &s : shards_) {
-        if (batch.empty()) {
-            batch.swap(s->outbox);
-        } else {
-            for (auto &env : s->outbox)
-                batch.push_back(std::move(env));
-            s->outbox.clear();
-        }
-    }
-    if (batch.empty())
+    // Schedule one delivery event per envelope, in (arrival, source
+    // unit, per-unit sequence) order. Scheduling runs no event, so the
+    // outbox cannot grow while it is walked; clear() keeps its capacity
+    // for the next window.
+    if (outbox_.empty())
         return;
     const auto before = [](const Envelope &a, const Envelope &b) {
         if (a.when != b.when)
@@ -327,22 +256,18 @@ Machine::drainMailboxes()
             return a.srcUnit < b.srcUnit;
         return a.seq < b.seq;
     };
-    if (!std::is_sorted(batch.begin(), batch.end(), before))
-        std::sort(batch.begin(), batch.end(), before);
-    envelopes_ += batch.size();
-    for (auto &env : batch) {
-        const unsigned destShard = shardOf(env.to);
-        Shard &sh = *shards_[destShard];
+    if (!std::is_sorted(outbox_.begin(), outbox_.end(), before))
+        std::sort(outbox_.begin(), outbox_.end(), before);
+    envelopes_ += outbox_.size();
+    for (Envelope &env : outbox_) {
         const Tick when = env.when;
-        SYNCRON_ASSERT(when >= sh.eq.now(),
-                       "mailbox envelope arrived in the past: " << when
-                           << " < " << sh.eq.now());
-        const std::uint32_t idx = allocInflight(sh, std::move(env));
-        sh.eq.schedule(when, [this, destShard, idx] {
-            deliverEnvelope(destShard, idx);
-        });
+        SYNCRON_ASSERT(when >= eq_.now(),
+                       "mailbox envelope arrived in the past: "
+                           << when << " < " << eq_.now());
+        const std::uint32_t idx = allocInflight(std::move(env));
+        eq_.schedule(when, [this, idx] { deliverEnvelope(idx); });
     }
-    batch.clear();
+    outbox_.clear();
 }
 
 } // namespace syncron

@@ -1,6 +1,6 @@
 /**
  * @file
- * The simulated hardware platform: event queue(s), statistics, per-unit
+ * The simulated hardware platform: the event queue, statistics, per-unit
  * crossbars and DRAM, inter-unit links, and the shared address space.
  *
  * Machine provides the two composite operations every agent (core, SE,
@@ -10,18 +10,15 @@
  *   - memoryAccess(): a full uncached memory transaction — request
  *     message, DRAM access at the owning unit, response message.
  *
- * Sharded simulation (SystemConfig::simShards): units are split into
- * contiguous blocks, one per shard, each owning a private EventQueue and
- * SystemStats block so shards can run on separate host threads
- * (sim/sharded_kernel.hh). The synchronous routeMessage()/memoryAccess()
- * above stay valid only within one unit (or at one shard); sharded-aware
- * agents use the asynchronous forms — postMessage() /
- * memoryAccessAsync() — whose cross-unit leg is a mailbox envelope
- * stamped with the earliest-arrival tick and delivered at the next
- * window barrier. The mailbox discipline is active at EVERY shard count
- * (including 1) whenever the lookahead is non-zero, so a sharded run
- * replays exactly the same per-unit event order as a single-threaded one
- * — that is the bit-identity contract the sharded tests enforce.
+ * Both return the arrival tick and touch the destination synchronously.
+ * The asynchronous forms — postMessage() / memoryAccessAsync() — run a
+ * continuation at the arrival instead, and their cross-unit leg is a
+ * mailbox envelope stamped with the earliest-arrival tick. run() steps
+ * the queue in lookahead-sized windows and delivers the envelopes at
+ * each window barrier in (arrival, source unit, per-unit sequence)
+ * order. That order, not the post order, fixes where a delivery lands
+ * among the events already queued on its tick, so it is part of what
+ * the simulator computes: changing it changes simulated output.
  */
 
 #ifndef SYNCRON_SYSTEM_MACHINE_HH
@@ -38,7 +35,6 @@
 #include "net/crossbar.hh"
 #include "net/link.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_kernel.hh"
 #include "system/config.hh"
 
 namespace syncron {
@@ -50,37 +46,24 @@ constexpr std::uint32_t kMemReqHeaderBits = 80;
 constexpr std::uint32_t kMemRespHeaderBits = 16;
 
 /** One simulated NDP platform instance. */
-class Machine : public sim::ShardedKernel::Client
+class Machine
 {
   public:
     using Callback = sim::EventQueue::Callback;
 
     explicit Machine(const SystemConfig &cfg);
-    ~Machine() override;
+    ~Machine();
 
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
 
     const SystemConfig &config() const { return cfg_; }
 
-    /** Shard 0's queue — the only queue when the machine is unsharded.
-     *  Callers that hold a unit should prefer eq(unit). */
-    sim::EventQueue &eq() { return shards_[0]->eq; }
+    /** The event queue all simulated activity runs on. */
+    sim::EventQueue &eq() { return eq_; }
 
-    /** The event queue owning @p unit — all of that unit's activity
-     *  (device callbacks, core resumes, gate opens) must run here. */
-    sim::EventQueue &eq(UnitId unit) { return shards_[shardOf(unit)]->eq; }
-
-    /** Shard 0's stats block (= the merged totals after the run —
-     *  NdpSystem folds the other shards in at teardown). */
-    SystemStats &stats() { return shards_[0]->stats; }
-    const SystemStats &stats() const { return shards_[0]->stats; }
-
-    /** The stats block activity of @p unit must be charged to. */
-    SystemStats &statsFor(UnitId unit)
-    {
-        return shards_[shardOf(unit)]->stats;
-    }
+    SystemStats &stats() { return stats_; }
+    const SystemStats &stats() const { return stats_; }
 
     mem::AddressSpace &addrSpace() { return addrSpace_; }
 
@@ -88,71 +71,40 @@ class Machine : public sim::ShardedKernel::Client
     mem::Dram &dram(UnitId unit);
     net::LinkFabric &links() { return *links_; }
 
-    // -- Shard topology ------------------------------------------------
-    /** Number of shards actually materialized (after clamping). */
-    unsigned numShards() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
-
-    /** Shard owning @p unit (contiguous unit blocks). */
-    unsigned shardOf(UnitId unit) const { return unit / unitsPerShard_; }
-
-    /** The per-shard queues, for the ShardedKernel coordinator. */
-    std::vector<sim::EventQueue *> shardQueues();
-
     /**
-     * Conservative PDES lookahead: the minimum number of ticks any
-     * cross-unit message needs (source crossbar floor + link controller
-     * + flight). Envelopes are always stamped at least this far in the
-     * future, which is what makes parallel windows safe.
+     * Window length: the minimum number of ticks any cross-unit message
+     * needs (source crossbar floor + link controller + flight).
+     * Envelopes are always stamped at least this far in the future, so
+     * none posted inside a window can land inside it.
      */
-    Tick lookahead() const;
+    Tick lookahead() const { return lookahead_; }
 
     /** True when cross-unit traffic goes through mailbox envelopes
-     *  (lookahead > 0). False only on zero-latency sweeps, which run
-     *  single-shard with the synchronous path. */
+     *  (lookahead > 0). With a zero lookahead, run() steps tick by tick
+     *  and cross-unit messages take the synchronous path. */
     bool mailboxActive() const { return mailboxActive_; }
 
-    /** Sum of executed events across all shard queues (host perf). */
-    std::uint64_t executedEvents() const;
+    /**
+     * Runs the queue in windows until it and the mailbox drain, or
+     * until the next event lies past @p until (bounded stepping for
+     * crash injection): events at ticks <= until execute, later ones
+     * stay queued. Each window starts with a mailbox drain and covers
+     * [w, w + lookahead - 1] from the next event's tick w.
+     */
+    void run(Tick until = kTickNever);
 
-    /** Sum of overflow-heap schedules across all shard queues (host
-     *  perf; see sim::EventQueue::heapPushes()). */
-    std::uint64_t heapPushes() const;
+    /** Windows run() has executed so far (host perf). */
+    std::uint64_t windows() const { return windows_; }
 
-    /** Mailbox envelopes delivered into destination queues so far
-     *  (host perf; independent of the shard count). */
+    /** Mailbox envelopes delivered into the queue so far (host perf). */
     std::uint64_t envelopes() const { return envelopes_; }
 
-    /** Sum of pending events across all shard queues + mailboxes. */
-    std::size_t pendingEvents() const;
-
-    /** Max now() across shard queues. */
-    Tick maxNow() const;
-
-    /**
-     * Folds every shard's stats block into shard 0 (exact: all counters
-     * are integers) and zeroes the others. Idempotent; called by
-     * NdpSystem once the run ends.
-     */
-    void mergeShardStats();
-
-    /** True while a parallel window is in flight on worker threads.
-     *  Quiescent-only operations (primitive alloc/destroy, idleVar
-     *  sweeps) assert this is false. */
-    bool inParallelRegion() const { return inParallelRegion_; }
-
-    // -- Synchronous transport (single-unit / single-shard callers) ----
+    // -- Synchronous transport -----------------------------------------
     /**
      * Routes a @p bits -bit message from unit @p from to unit @p to,
      * starting at @p start. Same-unit messages traverse only the local
      * crossbar; cross-unit messages traverse source crossbar, serial
      * link, and destination crossbar.
-     *
-     * Cross-unit use requires both units on the same shard (single-shard
-     * machines, or unit-local agents): it touches the destination
-     * crossbar synchronously.
      *
      * @return absolute arrival tick
      */
@@ -162,29 +114,27 @@ class Machine : public sim::ShardedKernel::Client
     /**
      * Performs a complete uncached memory transaction issued by an agent
      * in unit @p from to address @p addr (request + DRAM + response).
-     * Same shard-locality caveat as routeMessage().
      *
      * @return absolute tick at which the response reaches the requester
      */
     Tick memoryAccess(Tick start, UnitId from, Addr addr, bool isWrite,
                       std::uint32_t bytes);
 
-    // -- Asynchronous transport (shard-safe) ---------------------------
+    // -- Asynchronous transport ----------------------------------------
     /**
      * Delivers a @p bits -bit message from @p from to @p to and runs
-     * @p cont on @p to's shard at the arrival tick (after the
-     * destination-crossbar traversal; read the arrival via
-     * eq(to).now()). Same-unit messages schedule directly; cross-unit
-     * messages become mailbox envelopes delivered at the next window
-     * barrier. Must be called from @p from's shard.
+     * @p cont at the arrival tick (after the destination-crossbar
+     * traversal; read the arrival via eq().now()). Same-unit messages
+     * schedule directly; cross-unit messages become mailbox envelopes
+     * delivered at the next window barrier.
      */
     void postMessage(Tick start, UnitId from, UnitId to,
                      std::uint32_t bits, Callback cont);
 
     /**
      * Asynchronous memoryAccess(): request message, DRAM access at the
-     * owning unit, response message; runs @p onDone on @p from's shard
-     * at the tick the response arrives (read it via eq(from).now()).
+     * owning unit, response message; runs @p onDone at the tick the
+     * response arrives (read it via eq().now()).
      */
     void memoryAccessAsync(Tick start, UnitId from, Addr addr,
                            bool isWrite, std::uint32_t bytes,
@@ -195,14 +145,6 @@ class Machine : public sim::ShardedKernel::Client
     void memoryAccessDetached(Tick start, UnitId from, Addr addr,
                               bool isWrite, std::uint32_t bytes);
 
-    // -- ShardedKernel::Client -----------------------------------------
-    /** Delivers queued envelopes into destination queues, ordered by
-     *  (arrival, source unit, source sequence) — deterministic and
-     *  shard-count-invariant. Single-threaded (barrier time only). */
-    void drainMailboxes() override;
-    void windowBegin() override { inParallelRegion_ = true; }
-    void windowEnd() override { inParallelRegion_ = false; }
-
     // -- Crash injection (durability) ----------------------------------
     /** Marks the machine torn down mid-run by the crash injector. */
     void markCrashed() { crashed_ = true; }
@@ -211,7 +153,7 @@ class Machine : public sim::ShardedKernel::Client
     bool crashed() const { return crashed_; }
 
   private:
-    /** Cross-shard message awaiting barrier delivery. */
+    /** Cross-unit message awaiting barrier delivery. */
     struct Envelope
     {
         Tick when = 0;          ///< earliest arrival at the dest unit
@@ -222,41 +164,34 @@ class Machine : public sim::ShardedKernel::Client
         Callback cont;
     };
 
-    /** One shard: private queue + stats + mailbox storage. */
-    struct Shard
-    {
-        sim::EventQueue eq;
-        SystemStats stats;
-        /// Envelopes posted by this shard's units, collected at barriers.
-        std::vector<Envelope> outbox;
-        /// Envelopes delivered to this shard, awaiting their event.
-        std::vector<Envelope> inflight;
-        std::vector<std::uint32_t> inflightFree;
-        /// Parked completion callbacks for in-flight async memory ops
-        /// issued by this shard's units (slot index rides the envelopes
-        /// so nested captures never exceed the callback bound).
-        std::vector<Callback> memPending;
-        std::vector<std::uint32_t> memPendingFree;
-    };
-
-    std::uint32_t allocInflight(Shard &shard, Envelope &&env);
-    void deliverEnvelope(unsigned shard, std::uint32_t idx);
-    std::uint32_t parkMemCallback(Shard &shard, Callback cb);
-    void completeMemOp(UnitId requester, std::uint32_t idx);
+    /** Schedules one delivery event per posted envelope, ordered by
+     *  (arrival, source unit, source sequence). Barrier time only. */
+    void drainMailboxes();
+    std::uint32_t allocInflight(Envelope &&env);
+    void deliverEnvelope(std::uint32_t idx);
+    std::uint32_t parkMemCallback(Callback cb);
+    void completeMemOp(std::uint32_t idx);
 
     SystemConfig cfg_;
+    Tick lookahead_ = 0;
     bool crashed_ = false;
     bool mailboxActive_ = false;
-    bool inParallelRegion_ = false;
-    bool statsMerged_ = false;
-    unsigned unitsPerShard_ = 1;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /// Next envelope sequence number per source unit (only the owning
-    /// shard's thread touches a given entry).
+    sim::EventQueue eq_;
+    SystemStats stats_;
+    /// Envelopes posted since the last barrier.
+    std::vector<Envelope> outbox_;
+    /// Envelopes delivered into the queue, awaiting their event.
+    std::vector<Envelope> inflight_;
+    std::vector<std::uint32_t> inflightFree_;
+    /// Parked completion callbacks for in-flight async memory ops (the
+    /// slot index rides the envelopes so nested captures never exceed
+    /// the callback bound).
+    std::vector<Callback> memPending_;
+    std::vector<std::uint32_t> memPendingFree_;
+    /// Next envelope sequence number per source unit.
     std::vector<std::uint64_t> unitSeq_;
-    /// drainMailboxes()' gather buffer; empty between barriers.
-    std::vector<Envelope> drainBuf_;
     std::uint64_t envelopes_ = 0;
+    std::uint64_t windows_ = 0;
     mem::AddressSpace addrSpace_;
     std::vector<std::unique_ptr<net::Crossbar>> xbars_;
     std::vector<std::unique_ptr<mem::Dram>> drams_;

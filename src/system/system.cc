@@ -4,42 +4,17 @@
 #include <sstream>
 
 #include "analysis/live.hh"
-#include "analysis/sharded_observer.hh"
 #include "common/log.hh"
 #include "durability/backend.hh"
 #include "durability/manager.hh"
-#include "sim/sharded_kernel.hh"
 #include "sync/registry.hh"
 #include "trace/capture.hh"
 #include "trace/format.hh"
 
 namespace syncron {
 
-namespace {
-
-/**
- * Collapses SystemConfig::simShards to 1 when the selected backend has
- * not been declared shard-safe (see BackendRegistry::add). Resolved
- * before the Machine is built because the shard topology is fixed at
- * machine construction, while the backend is only instantiated after.
- */
-SystemConfig
-resolveSimShards(SystemConfig cfg)
-{
-    if (cfg.simShards > 1) {
-        const std::string name = cfg.backendName.empty()
-                                     ? schemeName(cfg.scheme)
-                                     : cfg.backendName;
-        if (!sync::BackendRegistry::instance().shardable(name))
-            cfg.simShards = 1;
-    }
-    return cfg;
-}
-
-} // namespace
-
 NdpSystem::NdpSystem(const SystemConfig &cfg)
-    : machine_(std::make_unique<Machine>(resolveSimShards(cfg)))
+    : machine_(std::make_unique<Machine>(cfg))
 {
     // Backend selection is fully name-driven: the registry instantiates
     // whatever backend is registered under the configured name (by
@@ -73,15 +48,7 @@ NdpSystem::NdpSystem(const SystemConfig &cfg)
     }
     if (conf.analyze) {
         analyzer_ = std::make_unique<analysis::LiveAnalyzer>(conf);
-        if (machine_->numShards() > 1) {
-            // Worker threads must not drive the analyzer's state machine
-            // directly: buffer per shard, replay at quiescence.
-            shardedObs_ = std::make_unique<analysis::ShardedObserver>(
-                *machine_, *analyzer_);
-            api_->setObserver(shardedObs_.get());
-        } else {
-            api_->setObserver(analyzer_.get());
-        }
+        api_->setObserver(analyzer_.get());
     }
     if (durability_ != nullptr)
         api_->addAuxObserver(durability_.get());
@@ -118,18 +85,7 @@ NdpSystem::clientCore(unsigned idx)
 void
 NdpSystem::spawn(sim::Process process)
 {
-    SYNCRON_ASSERT(machine_->numShards() == 1,
-                   "spawn(process) without a core on a sharded machine — "
-                   "use spawn(process, core) so the coroutine is homed on "
-                   "its core's shard");
     process.start(machine_->eq());
-    processes_.push_back(std::move(process));
-}
-
-void
-NdpSystem::spawn(sim::Process process, const core::Core &core)
-{
-    process.start(machine_->eq(core.unit()));
     processes_.push_back(std::move(process));
 }
 
@@ -137,10 +93,9 @@ void
 NdpSystem::run()
 {
     const SystemConfig &cfg = machine_->config();
-    sim::ShardedKernel kernel(machine_->shardQueues(),
-                              machine_->lookahead(), *machine_);
-    kernel.run(cfg.crashAtTick != 0 ? cfg.crashAtTick : kTickNever);
-    kernelWindows_ = kernel.windows();
+    const std::uint64_t windowsBefore = machine_->windows();
+    machine_->run(cfg.crashAtTick != 0 ? cfg.crashAtTick : kTickNever);
+    kernelWindows_ = machine_->windows() - windowsBefore;
     if (cfg.crashAtTick != 0) {
         bool pending = false;
         for (const sim::Process &p : processes_) {
@@ -174,15 +129,12 @@ NdpSystem::run()
     }
     if (engineView_ != nullptr)
         engineView_->finalizeStats();
-    machine_->mergeShardStats();
     if (durability_ != nullptr)
         durability_->shutdownFlush();
     if (capture_ != nullptr) {
         trace::writeTraceFile(capture_->trace(),
                               machine_->config().tracePath);
     }
-    if (shardedObs_ != nullptr)
-        shardedObs_->flush();
     if (analyzer_ != nullptr && !analyzer_->finished()) {
         const analysis::AnalysisReport &report = analyzer_->finish();
         if (!report.clean()) {
@@ -213,7 +165,7 @@ NdpSystem::observerEvents() const
 Tick
 NdpSystem::elapsed() const
 {
-    return machine_->maxNow();
+    return machine_->eq().now();
 }
 
 } // namespace syncron

@@ -34,7 +34,6 @@ class TraceCapture;
 
 namespace syncron::analysis {
 class LiveAnalyzer;
-class ShardedObserver;
 } // namespace syncron::analysis
 
 namespace syncron::durability {
@@ -71,28 +70,13 @@ class NdpSystem
      *  unit (core 0 -> unit 0, core 1 -> unit 0, ..., 15 -> unit 1...). */
     core::Core &clientCore(unsigned idx);
 
-    /**
-     * Registers and starts a workload coroutine on shard 0's queue.
-     * Only valid on single-shard machines (a coroutine's code segments
-     * run on the queue that resumed them, so on a sharded machine every
-     * process must be homed on its core's shard — use the overload).
-     */
+    /** Registers and starts a workload coroutine on the event queue. */
     void spawn(sim::Process process);
 
     /**
-     * Registers and starts a workload coroutine on @p core 's shard, so
-     * every segment of the coroutine executes on the thread that owns
-     * the core's unit. The workload must drive only @p core (the usual
-     * one-coroutine-per-core shape).
-     */
-    void spawn(sim::Process process, const core::Core &core);
-
-    /**
      * Runs the simulation until every spawned process completes, driving
-     * the per-shard event queues through the conservative-PDES windowed
-     * loop (sim::ShardedKernel; a single-shard machine degenerates to
-     * the plain event loop plus mailbox barriers).
-     * fatal()s on deadlock (event queues empty, processes pending).
+     * the event queue through Machine::run()'s windowed loop.
+     * fatal()s on deadlock (event queue empty, processes pending).
      * With SystemConfig::tracePath set, writes the captured
      * synchronization-operation trace there on completion.
      *
@@ -108,8 +92,8 @@ class NdpSystem
     /** True when the last run() ended at the injected crash. */
     bool crashed() const { return machine_->crashed(); }
 
-    /** Conservative-PDES windows the last run() executed (host perf;
-     *  see sim::ShardedKernel::windows()). */
+    /** Windows the last run() executed (host perf; see
+     *  Machine::run()). */
     std::uint64_t kernelWindows() const { return kernelWindows_; }
 
     /**
@@ -145,7 +129,7 @@ class NdpSystem
         return durability_.get();
     }
 
-    /** Simulated time elapsed so far (max across shard queues). */
+    /** Simulated time elapsed so far. */
     Tick elapsed() const;
 
     const SystemStats &stats() const { return machine_->stats(); }
@@ -158,9 +142,6 @@ class NdpSystem
     std::unique_ptr<sync::SyncApi> api_;
     std::unique_ptr<trace::TraceCapture> capture_;
     std::unique_ptr<analysis::LiveAnalyzer> analyzer_;
-    /// Per-shard buffering front end for the analyzer, installed only
-    /// when the machine is sharded (analysis/sharded_observer.hh).
-    std::unique_ptr<analysis::ShardedObserver> shardedObs_;
     std::unique_ptr<durability::DurabilityManager> durability_;
     std::vector<std::unique_ptr<core::Core>> cores_; ///< client cores
     /// Declared last: coroutine frames are destroyed before the api and

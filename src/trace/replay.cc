@@ -65,8 +65,7 @@ Replayer::install(NdpSystem &sys)
         if (perCore[c].empty())
             continue;
         sys.spawn(
-            replayCore(sys, sys.clientCore(c), std::move(perCore[c])),
-            sys.clientCore(c));
+            replayCore(sys, sys.clientCore(c), std::move(perCore[c])));
     }
 }
 

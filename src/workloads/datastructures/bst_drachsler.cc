@@ -46,8 +46,7 @@ SimBstDrachsler::worker(Core &c, unsigned ops)
     // synchronization schemes perform similarly here (Section 6.1.2).
     //
     // Victim choice depends only on this worker's rng stream, the
-    // run-immutable node map, and its own past unlinks, keeping the
-    // operation stream identical at every --sim-shards count (see
+    // run-immutable node map, and its own past unlinks (see
     // SimSkipList).
     sync::SyncApi &api = sys_.api();
     std::set<std::uint64_t> mine; ///< keys this worker has unlinked

@@ -55,8 +55,9 @@ SimSkipList::worker(Core &c, unsigned ops)
 {
     // Victim choice uses only this worker's rng stream, the
     // run-immutable node map, and this worker's own past unlinks —
-    // never the instantaneous shared state — so the operation stream is
-    // identical at every --sim-shards count. Other cores' concurrent
+    // never the instantaneous shared state — so the operation stream
+    // does not depend on how other cores' operations interleave with
+    // this one's. Other cores' concurrent
     // deletions stay invisible until the locked section, matching an
     // optimistic traversal over not-yet-reclaimed nodes.
     sync::SyncApi &api = sys_.api();

@@ -119,7 +119,7 @@ class SimPriorityQueue
 /**
  * Skip list with per-node locks (optimistic search, locked delete).
  *
- * Sharded-simulation discipline: the node map is immutable during the
+ * Determinism: the node map is immutable during the
  * run and each worker tracks its own unlinks privately, so a worker
  * traverses a stale-but-deterministic view of the list (it cannot see
  * other cores' deletions — the optimistic-search behavior over
@@ -169,9 +169,8 @@ class SimHashTable
     sync::LockSet bucketLocks_;
     std::vector<std::vector<std::pair<std::uint64_t, Addr>>> buckets_;
     std::uint64_t keyRange_;
-    /// Successful lookups. Bumped under per-BUCKET locks, so increments
-    /// from different shards interleave on the host: atomic because the
-    /// sum is commutative and only read at quiescence.
+    /// Successful lookups. Bumped under per-BUCKET locks; the sum is
+    /// commutative and only read at quiescence.
     std::atomic<std::uint64_t> hits_{0};
 };
 
@@ -230,7 +229,7 @@ class SimBstFg
  * lock-free; a deletion locks only the victim and its predecessor
  * (lock requests are ~0.1% of memory requests).
  *
- * Follows the same sharded-simulation discipline as SimSkipList: the
+ * Follows the same determinism discipline as SimSkipList: the
  * node map is run-immutable, deletions are tracked per worker, and
  * reclamation is deferred to teardown.
  */

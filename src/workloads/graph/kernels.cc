@@ -31,22 +31,20 @@ struct Ctx
     // from both iteration i+1's setters and its readers.
     Addr flagAddr[3] = {0, 0, 0};
     // Set-once per iteration by any worker (a commutative OR), read
-    // only after the fencing barrier: atomic so concurrent setters on
-    // different shards stay well-defined on the host.
+    // only after the fencing barrier.
     std::atomic<bool> hostFlag[3] = {false, false, false};
     std::vector<std::int64_t> value;
     std::vector<std::int64_t> aux;
     /// Iteration-start copy of value for the iterative apps' unlocked
     /// "worth locking?" checks. Reading the LIVE value outside a vertex
-    /// lock would expose same-iteration writes from other shards in
-    /// host-interleaving order; the snapshot (refreshed by worker 0
-    /// inside the double-barrier window) keeps the lock-request stream
-    /// identical at every --sim-shards count. Classic Jacobi-style
-    /// stale reads — the locked section re-checks the live value.
+    /// lock would make the lock-request stream depend on the order in
+    /// which same-iteration writes land; the snapshot (refreshed by
+    /// worker 0 inside the double-barrier window) does not. Classic
+    /// Jacobi-style stale reads — the locked section re-checks the
+    /// live value.
     std::vector<std::int64_t> snap;
-    /// Bumped under per-VERTEX locks, so increments from different
-    /// shards interleave on the host: atomic, sum is commutative,
-    /// only read at quiescence.
+    /// Bumped under per-VERTEX locks; the sum is commutative and only
+    /// read at quiescence.
     std::atomic<std::uint64_t> updates{0};
     unsigned iterations = 0;
     unsigned total = 0;
@@ -107,7 +105,7 @@ bfsWorker(Core &c, Ctx &ctx, unsigned idx)
         }
         // Every changed worker publishes the flag: gating the store on
         // a live read of hostFlag would make WHICH worker stores (a
-        // simulated event) depend on host interleaving across shards.
+        // simulated event) depend on the order the workers finish.
         if (changed) {
             ctx.hostFlag[iter % 3].store(true);
             co_await c.store(ctx.flagAddr[iter % 3], 8,
@@ -429,16 +427,16 @@ runGraphApp(NdpSystem &sys, PlacedGraph &placed, GraphApp app,
     for (unsigned i = 0; i < ctx.total; ++i) {
         core::Core &c = sys.clientCore(i);
         switch (app) {
-          case GraphApp::Bfs: sys.spawn(bfsWorker(c, ctx, i), c); break;
+          case GraphApp::Bfs: sys.spawn(bfsWorker(c, ctx, i)); break;
           case GraphApp::Cc:
-            sys.spawn(propagateWorker(c, ctx, i, false), c);
+            sys.spawn(propagateWorker(c, ctx, i, false));
             break;
           case GraphApp::Sssp:
-            sys.spawn(propagateWorker(c, ctx, i, true), c);
+            sys.spawn(propagateWorker(c, ctx, i, true));
             break;
-          case GraphApp::Pr: sys.spawn(prWorker(c, ctx, i), c); break;
-          case GraphApp::Tf: sys.spawn(tfWorker(c, ctx, i), c); break;
-          case GraphApp::Tc: sys.spawn(tcWorker(c, ctx, i), c); break;
+          case GraphApp::Pr: sys.spawn(prWorker(c, ctx, i)); break;
+          case GraphApp::Tf: sys.spawn(tfWorker(c, ctx, i)); break;
+          case GraphApp::Tc: sys.spawn(tcWorker(c, ctx, i)); break;
         }
     }
     sys.run();

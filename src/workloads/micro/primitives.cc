@@ -131,8 +131,7 @@ SemFanoutWorkload::SemFanoutWorkload(NdpSystem &sys, unsigned width,
         sets_.push_back(std::move(shared));
         for (unsigned i = 0; i < n; ++i) {
             sys.spawn(semFanoutLoop(sys, sys.clientCore(i), sets_[0],
-                                    rounds),
-                      sys.clientCore(i));
+                                    rounds));
         }
         return;
     }
@@ -149,8 +148,7 @@ SemFanoutWorkload::SemFanoutWorkload(NdpSystem &sys, unsigned width,
         sets_.push_back(std::move(own));
     }
     for (unsigned i = 0; i < n; ++i)
-        sys.spawn(semFanoutLoop(sys, sys.clientCore(i), sets_[i], rounds),
-                  sys.clientCore(i));
+        sys.spawn(semFanoutLoop(sys, sys.clientCore(i), sets_[i], rounds));
 }
 
 const char *
@@ -176,8 +174,7 @@ PrimitiveWorkload::PrimitiveWorkload(NdpSystem &sys, Primitive primitive,
         const sync::Lock lock = sys.api().createLock(0);
         for (unsigned i = 0; i < n; ++i) {
             sys.spawn(lockLoop(sys, sys.clientCore(i), lock, interval,
-                               opsPerCore),
-                      sys.clientCore(i));
+                               opsPerCore));
         }
         break;
       }
@@ -185,8 +182,7 @@ PrimitiveWorkload::PrimitiveWorkload(NdpSystem &sys, Primitive primitive,
         const sync::Barrier bar = sys.api().createBarrier(0, n);
         for (unsigned i = 0; i < n; ++i) {
             sys.spawn(barrierLoop(sys, sys.clientCore(i), bar, interval,
-                                  opsPerCore),
-                      sys.clientCore(i));
+                                  opsPerCore));
         }
         break;
       }
@@ -197,12 +193,10 @@ PrimitiveWorkload::PrimitiveWorkload(NdpSystem &sys, Primitive primitive,
         for (unsigned i = 0; i < n; ++i) {
             if (i % 2 == 0) {
                 sys.spawn(semWaitLoop(sys, sys.clientCore(i), sem,
-                                      interval, opsPerCore),
-                          sys.clientCore(i));
+                                      interval, opsPerCore));
             } else {
                 sys.spawn(semPostLoop(sys, sys.clientCore(i), sem,
-                                      interval, opsPerCore),
-                          sys.clientCore(i));
+                                      interval, opsPerCore));
             }
         }
         break;
@@ -214,13 +208,11 @@ PrimitiveWorkload::PrimitiveWorkload(NdpSystem &sys, Primitive primitive,
             if (i % 2 == 0) {
                 sys.spawn(condWaitLoop(sys, sys.clientCore(i), cond,
                                        lock, interval, opsPerCore,
-                                       condTokens_),
-                          sys.clientCore(i));
+                                       condTokens_));
             } else {
                 sys.spawn(condSignalLoop(sys, sys.clientCore(i), cond,
                                          lock, interval, opsPerCore,
-                                         condTokens_),
-                          sys.clientCore(i));
+                                         condTokens_));
             }
         }
         break;

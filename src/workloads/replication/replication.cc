@@ -77,8 +77,7 @@ ReplicationWorkload::ReplicationWorkload(NdpSystem &sys,
         Core &c = sys.clientCore(i);
         const unsigned p = i % partitions;
         sys.spawn(applyLoop(sys, c, locks_[p], sems_[p], epochBarriers_,
-                            watermarks_[p], params),
-                  c);
+                            watermarks_[p], params));
     }
 }
 

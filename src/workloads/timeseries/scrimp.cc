@@ -107,8 +107,9 @@ ScrimpWorkload::worker(Core &c, unsigned idx, unsigned total)
 
     // Per-worker upper bound on each profile element: the unlocked
     // "worth locking?" filter reads only this private copy, never the
-    // shared profile mid-run, so the lock-request stream is identical
-    // at every --sim-shards count. The bound is tightened to the true
+    // shared profile mid-run, so the lock-request stream does not
+    // depend on how other workers' updates interleave. The bound is
+    // tightened to the true
     // profile value inside each locked section.
     std::vector<double> bound(np,
                               std::numeric_limits<double>::infinity());
@@ -171,8 +172,7 @@ ScrimpWorkload::run()
     const unsigned total = sys_.numClientCores();
     const Tick start = sys_.elapsed();
     for (unsigned i = 0; i < total; ++i)
-        sys_.spawn(worker(sys_.clientCore(i), i, total),
-                   sys_.clientCore(i));
+        sys_.spawn(worker(sys_.clientCore(i), i, total));
     sys_.run();
     return sys_.elapsed() - start;
 }

@@ -88,9 +88,8 @@ class ScrimpWorkload
     std::vector<Addr> seriesAddr_; ///< per-unit replica base
     sync::LockSet locks_;
     sync::Barrier bar_;
-    /// Profile improvements. Bumped under per-ELEMENT locks, so
-    /// increments from different shards interleave on the host: atomic
-    /// because the sum is commutative and only read at quiescence.
+    /// Profile improvements. Bumped under per-ELEMENT locks; the sum is
+    /// commutative and only read at quiescence.
     std::atomic<std::uint64_t> updates_{0};
 };
 

@@ -3,9 +3,9 @@
  * Tests for the timing-wheel event queue: same-tick FIFO determinism,
  * the sliding horizon's wheel/overflow-heap edges (including a
  * differential test against a (when, seq) sort), run(until) boundary
- * semantics, allocation-freedom of steady-state scheduling
- * (via a counting global operator new), and serial-vs-parallel grid
- * determinism.
+ * semantics, Machine::run()'s lookahead windows, allocation-freedom of
+ * steady-state scheduling and of the mailbox barrier (via a counting
+ * global operator new), and serial-vs-parallel grid determinism.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "harness/runner.hh"
 #include "sim/event_queue.hh"
 #include "sim/process.hh"
-#include "sim/sharded_kernel.hh"
 #include "system/machine.hh"
 
 // -- Counting allocator ------------------------------------------------
@@ -205,7 +204,7 @@ TEST(TimingWheel, RunUntilBoundarySemantics)
 
 TEST(TimingWheel, RunUntilStopsExactlyAtHorizonEdges)
 {
-    // The sharded coordinator drives run(until) with window limits that
+    // Machine::run() drives run(until) with window limits that
     // routinely land on (or next to) a multiple of the horizon; the
     // wheel must stop exactly there, neither executing later events nor
     // pulling them out of the heap prematurely.
@@ -263,8 +262,8 @@ TEST(TimingWheel, RunUntilInsideEmptyGap)
 
 TEST(TimingWheel, RunUntilRepeatedWindowsMatchOneShot)
 {
-    // Driving the queue in lookahead-sized windows (the sharded
-    // coordinator's access pattern) must execute the exact sequence a
+    // Driving the queue in lookahead-sized windows (Machine::run()'s
+    // access pattern) must execute the exact sequence a
     // single unbounded run() produces — including events that schedule
     // follow-ups landing in later windows and past the horizon.
     auto spray = [](EventQueue &q, std::vector<Tick> &fired) {
@@ -514,6 +513,81 @@ TEST(TimingWheelAlloc, CoroutineResumeSchedulingIsAllocationFree)
         << "coroutine resume scheduling allocated";
 }
 
+// -- Machine::run() windows ---------------------------------------------
+
+/** A machine whose window (cross-unit latency floor) is @p lookahead
+ *  ticks: one crossbar cycle plus the link flight. */
+SystemConfig
+windowedCfg(Tick lookahead)
+{
+    SystemConfig cfg = SystemConfig::make(Scheme::SynCron, 2, 1);
+    cfg.xbar.arbiterCycles = 0;
+    cfg.xbar.hops = 0;
+    cfg.xbar.cyclePeriod = lookahead / 2;
+    cfg.link.ctrlCycles = 0;
+    cfg.link.flightTicks = lookahead - lookahead / 2;
+    return cfg;
+}
+
+TEST(MachineRun, StepsSeriallyThroughEveryEvent)
+{
+    Machine m(windowedCfg(1000));
+    ASSERT_EQ(m.lookahead(), 1000u);
+    std::vector<Tick> fired;
+    for (Tick t : {Tick{5}, Tick{100}, Tick{100000}})
+        m.eq().schedule(t, [&fired, t] { fired.push_back(t); });
+    m.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{5, 100, 100000}));
+    EXPECT_EQ(m.eq().now(), 100000u);
+    // {5, 100} share the window [5, 1004]; 100000 opens its own.
+    EXPECT_EQ(m.windows(), 2u);
+}
+
+TEST(MachineRun, WindowsCoverLookaheadAndStopAtHorizon)
+{
+    // Lookahead 100: events at {0, 99} fit the window [0, 99]; 100
+    // opens the next, and the stragglers at 250 and 260 share a third.
+    Machine m(windowedCfg(100));
+    ASSERT_EQ(m.lookahead(), 100u);
+    ASSERT_TRUE(m.mailboxActive());
+    std::vector<Tick> fired;
+    for (Tick t : {Tick{0}, Tick{99}, Tick{100}, Tick{250}, Tick{260}})
+        m.eq().schedule(t, [&fired, t] { fired.push_back(t); });
+    m.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{0, 99, 100, 250, 260}));
+    EXPECT_EQ(m.windows(), 3u);
+    EXPECT_EQ(m.eq().now(), 260u);
+}
+
+TEST(MachineRun, BoundedRunLeavesLaterEventsQueued)
+{
+    // The crash-injection path: run(until) executes events at ticks
+    // <= until and leaves later ones queued for a later run().
+    Machine m(windowedCfg(50));
+    int ran = 0;
+    m.eq().schedule(10, [&] { ++ran; });
+    m.eq().schedule(1000, [&] { ++ran; });
+    m.eq().schedule(5000, [&] { ++ran; });
+    m.run(1000);
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(m.eq().now(), 1000u);
+    EXPECT_EQ(m.eq().pending(), 1u);
+    m.run();
+    EXPECT_EQ(ran, 3);
+}
+
+TEST(MachineRun, ZeroLookaheadIsNotConstructible)
+{
+    // A zero window needs a zero-cycle crossbar, whose M/D/1 model
+    // rejects a zero service time. So every buildable machine runs the
+    // mailbox path, and run()'s tick-by-tick lockstep branch is
+    // unreachable; this pins that fact for whoever relaxes it.
+    EXPECT_THROW(Machine m(windowedCfg(0)), std::logic_error);
+    Machine smallest(windowedCfg(2));
+    EXPECT_EQ(smallest.lookahead(), 2u);
+    EXPECT_TRUE(smallest.mailboxActive());
+}
+
 // -- Allocation-free mailbox barrier ------------------------------------
 
 /** Message bouncing between units 0 and 1 through the mailbox. */
@@ -532,18 +606,16 @@ bounce(Bouncer *b)
     --*b->remaining;
     const UnitId from = b->at;
     b->at = 1 - from;
-    b->m->postMessage(b->m->eq(from).now(), from, b->at, 64,
+    b->m->postMessage(b->m->eq().now(), from, b->at, 64,
                       [b] { bounce(b); });
 }
 
-TEST(TimingWheelAlloc, OneShardMailboxBarrierIsAllocationFree)
+TEST(TimingWheelAlloc, MailboxBarrierIsAllocationFree)
 {
-    // One shard, two units: every cross-unit message becomes a mailbox
-    // envelope drained at a window barrier, as in a serial run.
+    // Two units: every cross-unit message becomes a mailbox envelope
+    // drained at a window barrier.
     Machine m(SystemConfig::make(Scheme::SynCron, 2, 1));
-    ASSERT_EQ(m.numShards(), 1u);
     ASSERT_TRUE(m.mailboxActive());
-    ShardedKernel kernel(m.shardQueues(), m.lookahead(), m);
 
     std::array<Bouncer, 32> bouncers;
     std::uint64_t remaining = 0;
@@ -554,14 +626,14 @@ TEST(TimingWheelAlloc, OneShardMailboxBarrierIsAllocationFree)
                                   &remaining};
             bounce(&bouncers[i]);
         }
-        kernel.run();
+        m.run();
         EXPECT_EQ(remaining, 0u);
     };
 
     // Warm-up grows the outbox, gather buffer, in-flight table and
     // node pool to working size.
     round(20000);
-    const std::uint64_t windowsBefore = kernel.windows();
+    const std::uint64_t windowsBefore = m.windows();
     const std::uint64_t envelopesBefore = m.envelopes();
 
     const std::uint64_t before =
@@ -572,7 +644,7 @@ TEST(TimingWheelAlloc, OneShardMailboxBarrierIsAllocationFree)
     EXPECT_EQ(after - before, 0u)
         << "postMessage()/drainMailboxes() allocated in steady state";
     EXPECT_EQ(m.envelopes() - envelopesBefore, 20000u);
-    EXPECT_GT(kernel.windows() - windowsBefore, 100u);
+    EXPECT_GT(m.windows() - windowsBefore, 100u);
 }
 
 } // namespace
@@ -599,6 +671,35 @@ smallGrid()
         }
     }
     return tasks;
+}
+
+// -- Kernel work counters ----------------------------------------------
+
+TEST(KernelCounters, ExactAndMostlyOnTheWheel)
+{
+    // A fixed Fig. 11 cell: the hash table on SynCron, 4 units x 15
+    // client cores, at a quarter of the Table 6 defaults.
+    const DsParams p = dsDefaults(DsKind::HashTable, 0.25);
+    auto cell = [&p] {
+        return runDataStructure(SystemConfig::make(Scheme::SynCron, 4, 15),
+                                DsKind::HashTable, p.initialSize,
+                                p.opsPerCore);
+    };
+    const RunOutput a = cell();
+    const RunOutput b = cell();
+
+    // The counters are exact: identical runs count identical work.
+    EXPECT_EQ(a.hostEvents, b.hostEvents);
+    EXPECT_EQ(a.hostHeapPushes, b.hostHeapPushes);
+    EXPECT_EQ(a.hostWindows, b.hostWindows);
+    EXPECT_EQ(a.hostEnvelopes, b.hostEnvelopes);
+
+    // Envelopes are cross-unit messages.
+    EXPECT_GT(a.hostEnvelopes, 0u);
+
+    // The sliding horizon keeps nearly every schedule off the heap.
+    EXPECT_GT(a.hostWindows, 0u);
+    EXPECT_LT(a.hostHeapPushes, a.hostEvents / 5);
 }
 
 TEST(Grid, ParallelRunsMatchSerialExactly)

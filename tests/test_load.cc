@@ -3,8 +3,8 @@
  * Tests for the open-loop load subsystem (src/load/) and its
  * supporting pieces: the M/D/1 estimator's closed-form behavior, the
  * log-interpolated latency percentiles, arrival-schedule generation,
- * the OpenLoopWorkload's accounting and determinism (including sharded
- * bit-identity and analyzer cleanliness), curve JSON byte-identity,
+ * the OpenLoopWorkload's accounting, determinism and analyzer
+ * cleanliness, curve JSON byte-identity,
  * and the max-sustainable-rate search.
  */
 
@@ -247,9 +247,8 @@ TEST(ArrivalSchedule, DeterministicAndWellFormed)
 
 TEST(ArrivalSchedule, PerCoreStreamsIndependentOfCoreCount)
 {
-    // Core i's schedule must not depend on how many cores exist —
-    // the property that makes sharded and unsharded runs see the same
-    // tables.
+    // Core i's schedule must not depend on how many cores exist:
+    // adding cores leaves every existing core's table unchanged.
     const load::LoadSpec spec = smallSpec();
     const load::ArrivalSchedule few = load::buildArrivalSchedule(spec, 2);
     const load::ArrivalSchedule many =
@@ -307,13 +306,10 @@ TEST(ArrivalSchedule, PoissonMeanGapNearNominal)
 
 namespace {
 
-// 4 units so --sim-shards=4 is not clamped away (shards <= numUnits).
 SystemConfig
-loadConfig(Scheme scheme = Scheme::SynCron, unsigned shards = 1)
+loadConfig(Scheme scheme = Scheme::SynCron)
 {
-    SystemConfig cfg = SystemConfig::make(scheme, 4, 2);
-    cfg.simShards = shards;
-    return cfg;
+    return SystemConfig::make(scheme, 4, 2);
 }
 
 std::vector<double>
@@ -381,25 +377,6 @@ TEST(OpenLoop, RunsAreDeterministic)
     EXPECT_EQ(a.time, b.time);
     EXPECT_EQ(a.issuedOps, b.issuedOps);
     EXPECT_EQ(statsVector(a.stats), statsVector(b.stats));
-}
-
-TEST(OpenLoop, BitIdenticalAcrossSimShards)
-{
-    // The PR 8 contract extended to the open-loop engine: 1, 2, and 4
-    // host shards must reproduce the run exactly.
-    load::LoadSpec spec = smallSpec();
-    spec.ratePerUs = 8.0; // enough pressure to exercise the window
-    const harness::RunOutput ref =
-        harness::runOpenLoop(loadConfig(Scheme::SynCron, 1), spec);
-    for (unsigned shards : {2u, 4u}) {
-        const harness::RunOutput out = harness::runOpenLoop(
-            loadConfig(Scheme::SynCron, shards), spec);
-        EXPECT_EQ(out.time, ref.time) << shards << " shards";
-        EXPECT_EQ(out.issuedOps, ref.issuedOps) << shards << " shards";
-        EXPECT_EQ(out.queuedOps, ref.queuedOps) << shards << " shards";
-        EXPECT_EQ(statsVector(out.stats), statsVector(ref.stats))
-            << shards << " shards";
-    }
 }
 
 TEST(OpenLoop, AnalyzesCleanOnEveryBackend)

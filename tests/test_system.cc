@@ -1,12 +1,20 @@
 /**
  * @file
  * System-level tests: configuration validation, NdpSystem assembly,
- * SyncApi variable management, deadlock detection, energy model, and
- * core memory-kind policies.
+ * SyncApi variable management, deadlock detection, energy model, core
+ * memory-kind policies, and the pinned digests of simulated output.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "harness/runner.hh"
+#include "sync/registry.hh"
 #include "system/energy.hh"
 #include "system/system.hh"
 
@@ -193,6 +201,153 @@ TEST(Opcodes, ClassificationIsConsistent)
     for (int op = 0;
          op <= static_cast<int>(Op::DecreaseIndexingCounter); ++op)
         EXPECT_STRNE(opName(static_cast<Op>(op)), "?");
+}
+
+// -- Pinned simulated output -------------------------------------------
+
+/** FNV-1a over the 8 little-endian bytes of @p value. */
+std::uint64_t
+digestMix(std::uint64_t h, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (value >> (8 * i)) & 0xffU;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Everything a run simulated: final tick, operation count, every
+ * SystemStats counter by name, the full per-OpKind latency histograms,
+ * and the open-loop accounting. Host-side counters are left out.
+ */
+std::uint64_t
+digestOf(const harness::RunOutput &out)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    h = digestMix(h, out.time);
+    h = digestMix(h, out.ops);
+    out.stats.forEach([&h](const std::string &name, double value) {
+        for (char c : name)
+            h = digestMix(h, static_cast<unsigned char>(c));
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof bits);
+        h = digestMix(h, bits);
+    });
+    for (const SyncOpLatency &lat : out.stats.syncLatency) {
+        h = digestMix(h, lat.count);
+        h = digestMix(h, lat.totalTicks);
+        h = digestMix(h, lat.minTicks);
+        h = digestMix(h, lat.maxTicks);
+        for (std::uint64_t b : lat.hist)
+            h = digestMix(h, b);
+    }
+    for (std::uint64_t v : {out.offeredOps, out.issuedOps, out.droppedOps,
+                            out.queuedOps, out.queueDelayTicks})
+        h = digestMix(h, v);
+    return h;
+}
+
+/** Small cell config; the analyzer rides along and must find nothing. */
+SystemConfig
+goldenCfg(Scheme scheme)
+{
+    SystemConfig cfg = SystemConfig::make(scheme, 4, 8);
+    cfg.analyze = true;
+    return cfg;
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+TEST(SimulatedOutput, DigestIsFixed)
+{
+    // Any change to these constants is a change to what the simulator
+    // computes — event order, timing, or a counter — and must be
+    // deliberate. Host-speed work (kernel, transport, observers) has to
+    // leave every one of them untouched.
+    struct Golden
+    {
+        std::string cell;
+        std::uint64_t digest;
+    };
+    const std::vector<Golden> golden = {
+        {"lock/Central", 0x7eb623d6d9f0246cULL},
+        {"lock/Hier", 0xdbb0e04c90ce011bULL},
+        {"lock/Ideal", 0x467ac811db24fcc5ULL},
+        {"lock/SynCron", 0xaecac3eb54d092edULL},
+        {"lock/SynCron-flat", 0x9df0c2d968418722ULL},
+        {"lock/SynCron_CentralOvrfl", 0xaecac3eb54d092edULL},
+        {"lock/SynCron_DistribOvrfl", 0xaecac3eb54d092edULL},
+        {"Stack/SynCron", 0xc05a59686487ed5dULL},
+        {"Skip List/SynCron", 0xd19d61511143a244ULL},
+        {"Stack/Central", 0xfffcc1ee58a55e31ULL},
+        {"Skip List/Central", 0xda30fe4cfd1e21c8ULL},
+        {"Skip List/SynCron_CentralOvrfl/st2", 0x84579c4459c2e8b7ULL},
+        {"Skip List/SynCron_DistribOvrfl/st2", 0xee4999a30740e000ULL},
+        {"openloop/SynCron", 0x9e64da9bf37fd749ULL},
+        {"replication/SynCron", 0x6122bc801b1fab2fULL},
+    };
+
+    std::vector<Golden> got;
+    for (const std::string &name : sync::BackendRegistry::instance().names()) {
+        Scheme scheme;
+        ASSERT_TRUE(schemeFromName(name, scheme)) << name;
+        got.push_back({"lock/" + name,
+                       digestOf(harness::runPrimitive(
+                           goldenCfg(scheme), workloads::Primitive::Lock,
+                           100, 12))});
+    }
+    for (Scheme scheme : {Scheme::SynCron, Scheme::Central}) {
+        for (harness::DsKind kind :
+             {harness::DsKind::Stack, harness::DsKind::SkipList}) {
+            got.push_back({std::string(harness::dsName(kind)) + "/"
+                               + schemeName(scheme),
+                           digestOf(harness::runDataStructure(
+                               goldenCfg(scheme), kind, 128, 12))});
+        }
+    }
+    // The ablation backends only differ from SynCron once the ST
+    // overflows; a two-entry ST makes the SkipList's locks spill.
+    for (Scheme scheme :
+         {Scheme::SynCronCentralOvrfl, Scheme::SynCronDistribOvrfl}) {
+        SystemConfig cfg = goldenCfg(scheme);
+        cfg.stEntries = 2;
+        got.push_back({std::string("Skip List/") + schemeName(scheme)
+                           + "/st2",
+                       digestOf(harness::runDataStructure(
+                           cfg, harness::DsKind::SkipList, 128, 12))});
+    }
+    load::LoadSpec spec;
+    spec.ratePerUs = 4.0;
+    spec.opsPerCore = 16;
+    spec.numLocks = 8;
+    got.push_back({"openloop/SynCron",
+                   digestOf(harness::runOpenLoop(goldenCfg(Scheme::SynCron),
+                                                 spec))});
+    workloads::ReplicationParams params;
+    params.epochs = 4;
+    params.opsPerEpoch = 8;
+    SystemConfig persisted = goldenCfg(Scheme::SynCron);
+    persisted.persistMode = durability::PersistMode::Eager;
+    got.push_back({"replication/SynCron",
+                   digestOf(harness::runReplication(persisted, params))});
+
+    std::string table;
+    for (const Golden &g : got)
+        table += "        {\"" + g.cell + "\", " + hex(g.digest) + "ULL},\n";
+    ASSERT_EQ(got.size(), golden.size()) << table;
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        EXPECT_EQ(got[i].cell, golden[i].cell);
+        EXPECT_EQ(hex(got[i].digest), hex(golden[i].digest))
+            << got[i].cell << "; this run's table:\n" << table;
+    }
 }
 
 } // namespace

@@ -39,18 +39,6 @@ seconds and are wired into CI ahead of the build:
                        spell out the `& 0x7f` / `| 0x80` byte loop.
                        Tests are exempt (they build raw varints by hand
                        to forge corrupt inputs).
-  8. shard-scope       Under --sim-shards the machine has one timing
-                       wheel per shard and only the PDES coordinator
-                       may touch a queue it does not own. Scheduling on
-                       the bare shard-0 queue (`eq().schedule[In]`) or
-                       grabbing the full queue set (`shardQueues()`) is
-                       scoped to src/sim/ and src/system/machine.* —
-                       everyone else goes through eq(unit),
-                       postMessage(), or memoryAccessAsync(), which
-                       keep every event on its unit's own shard. The
-                       allow-listed exceptions are single-queue-by-mode
-                       paths (MiSAR overflow fallback, durability log)
-                       that are guarded at runtime.
 
 Usage:
   lint_contracts.py [--root DIR]   lint the tree, exit 1 on violations
@@ -74,9 +62,6 @@ INPLACE_INST_RE = re.compile(r"\bInplaceCallback\s*<")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
 PERSIST_CALL_RE = re.compile(r"(\.|->)\s*persist[A-Z]\w*\s*\(")
 PERSIST_HOOK_RE = re.compile(r"\bPersistHook\b")
-SHARD0_SCHEDULE_RE = re.compile(
-    r"\beq\s*\(\s*\)\s*\.\s*schedule(In)?\s*\(")
-SHARD_QUEUES_RE = re.compile(r"\bshardQueues\s*\(\s*\)")
 VARINT_BITS_RE = re.compile(r"[&|]\s*0x(7f|80)\b", re.IGNORECASE)
 VARINT_DEF_RE = re.compile(r"\b(\w*Varint)\s*\([^()]*\)\s*(const\s*)?\{")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once", re.MULTILINE)
@@ -103,19 +88,6 @@ VARINT_HOME = "src/trace/varint.hh"
 # Directory prefixes where the persist hooks legitimately live: the
 # durability subsystem defines them, the SynCron engine invokes them.
 PERSIST_SCOPE_ALLOW_PREFIXES = ("src/durability/", "src/syncron/")
-# Where the per-shard queue topology may be touched directly: the PDES
-# kernel itself, the Machine (mailbox drain delivers onto foreign
-# queues), and the system driver that hands the queue set to the
-# ShardedKernel coordinator.
-SHARD_SCOPE_ALLOW_PREFIXES = ("src/sim/",)
-SHARD_SCOPE_ALLOW = {
-    "src/system/machine.hh",   # eq()/shardQueues() definitions
-    "src/system/machine.cc",   # mailbox drain + queue-set accessor
-    "src/system/system.cc",    # builds the ShardedKernel from the set
-    # Single-queue-by-mode paths, each guarded at runtime:
-    "src/syncron/overflow.cc",   # MiSAR fallback asserts numShards()==1
-    "src/durability/backend.cc", # durability log requires --sim-shards=1
-}
 
 
 def code_files(root):
@@ -200,21 +172,6 @@ def lint_tree(root):
                        "codec for every container" % (m.group(1),
                                                       VARINT_HOME))
 
-        if (rel.startswith("src/")
-                and not rel.startswith(SHARD_SCOPE_ALLOW_PREFIXES)
-                and rel not in SHARD_SCOPE_ALLOW):
-            for m in SHARD0_SCHEDULE_RE.finditer(text):
-                report(rel, line_of(text, m), "shard-scope",
-                       "schedule on the bare shard-0 queue (eq()) - "
-                       "under --sim-shards this lands events on a "
-                       "foreign shard; use eq(unit), postMessage(), or "
-                       "memoryAccessAsync()")
-            for m in SHARD_QUEUES_RE.finditer(text):
-                report(rel, line_of(text, m), "shard-scope",
-                       "shardQueues() outside the PDES coordinator "
-                       "path - only sim/ and the Machine may touch "
-                       "queues they do not own")
-
         if rel.startswith("src/") and rel.endswith(".hh"):
             m = PRAGMA_ONCE_RE.search(text)
             if m:
@@ -257,9 +214,6 @@ FIXTURES = [
      "}\n"),
     ("persist-scope", "src/fixture.cc",
      "void f(durability::PersistHook &h) { h.persistCounter(0, 0); }\n"),
-    ("shard-scope", "src/fixture.cc",
-     "void f(Machine &m) { m.eq().schedule(0, [] {});"
-     " auto qs = m.shardQueues(); }\n"),
 ]
 
 
