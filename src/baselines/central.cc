@@ -22,21 +22,18 @@ CentralBackend::CentralBackend(Machine &machine, UnitId serverUnit)
 bool
 CentralBackend::idleVar(Addr var) const
 {
-    std::lock_guard<std::mutex> lock(pendingMu_);
     return pending_.count(var) == 0 && state_.idle(var);
 }
 
 void
 CentralBackend::pendingInc(Addr var)
 {
-    std::lock_guard<std::mutex> lock(pendingMu_);
     ++pending_[var];
 }
 
 void
 CentralBackend::pendingDec(Addr var)
 {
-    std::lock_guard<std::mutex> lock(pendingMu_);
     auto it = pending_.find(var);
     if (it != pending_.end() && --it->second == 0)
         pending_.erase(it);

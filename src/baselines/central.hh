@@ -15,7 +15,6 @@
 
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
 #include "cache/cache.hh"
@@ -94,7 +93,6 @@ class CentralBackend : public sync::SyncBackend
     /// Incremented at issue, decremented when the server applies the
     /// request; only read for its keys at quiescence.
     std::unordered_map<Addr, std::uint32_t> pending_;
-    mutable std::mutex pendingMu_;
 };
 
 } // namespace syncron::baselines

@@ -18,7 +18,6 @@ FlatSynCronBackend::FlatSynCronBackend(Machine &machine)
 bool
 FlatSynCronBackend::idleVar(Addr var) const
 {
-    std::lock_guard<std::mutex> lock(pendingMu_);
     if (pending_.count(var) != 0)
         return false;
     // Condition variables are homed at their lock's master, not their
@@ -39,14 +38,12 @@ FlatSynCronBackend::releaseVar(Addr var)
 void
 FlatSynCronBackend::pendingInc(Addr var)
 {
-    std::lock_guard<std::mutex> lock(pendingMu_);
     ++pending_[var];
 }
 
 void
 FlatSynCronBackend::pendingDec(Addr var)
 {
-    std::lock_guard<std::mutex> lock(pendingMu_);
     auto it = pending_.find(var);
     if (it != pending_.end() && --it->second == 0)
         pending_.erase(it);

@@ -12,7 +12,6 @@
 #ifndef SYNCRON_BASELINES_FLAT_HH
 #define SYNCRON_BASELINES_FLAT_HH
 
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -54,7 +53,6 @@ class FlatSynCronBackend : public sync::SyncBackend
     /// Incremented at issue, decremented at the master; only read for
     /// its keys at quiescence.
     std::unordered_map<Addr, std::uint32_t> pending_;
-    mutable std::mutex pendingMu_;
 };
 
 } // namespace syncron::baselines

@@ -45,8 +45,8 @@ class Core;
  *
  * The access runs as a small state machine over Machine's asynchronous
  * transport, so a foreign unit's crossbar and DRAM are charged when the
- * message arrives there, in the mailbox order that fixes the simulated
- * result: cache-hit legs advance synchronously, each miss fill
+ * message arrives there, in the cross-unit order that fixes the
+ * simulated result: cache-hit legs advance synchronously, each miss fill
  * suspends until the (possibly remote) DRAM round trip completes,
  * and the coroutine resumes at the tick the last outstanding leg
  * finishes. The object lives in the co_await expression, so its address

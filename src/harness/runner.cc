@@ -349,7 +349,7 @@ finishOutput(RunOutput &out, NdpSystem &sys)
     out.hostEvents = sys.machine().eq().executed();
     out.hostHeapPushes = sys.machine().eq().heapPushes();
     out.hostWindows = sys.kernelWindows();
-    out.hostEnvelopes = sys.machine().envelopes();
+    out.hostEnvelopes = sys.machine().eq().posts();
     out.hostObserverEvents = sys.observerEvents();
     out.stats = sys.stats();
     out.energy = computeEnergy(sys.stats(), sys.config());

@@ -154,8 +154,8 @@ struct RunOutput
     std::uint64_t hostNs = 0;     ///< host wall-clock of the run
     // Deterministic kernel work counters (exact, noise-free).
     std::uint64_t hostHeapPushes = 0; ///< schedules past the wheel horizon
-    std::uint64_t hostWindows = 0;    ///< Machine::run() windows
-    std::uint64_t hostEnvelopes = 0;  ///< mailbox envelopes delivered
+    std::uint64_t hostWindows = 0;    ///< order-key windows opened
+    std::uint64_t hostEnvelopes = 0;  ///< cross-unit messages posted
     /// observer callbacks: trace-sink records, live-analyzer events,
     /// durability WAL appends and persist-hook calls (0 with none on)
     std::uint64_t hostObserverEvents = 0;

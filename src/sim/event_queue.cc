@@ -50,6 +50,20 @@ EventQueue::freeNode(std::uint32_t idx)
     freeHead_ = idx;
 }
 
+void
+EventQueue::insert(std::uint32_t idx, Tick when, std::uint16_t lane)
+{
+    Event &e = pool_[idx];
+    e.win = static_cast<std::uint32_t>(win_);
+    e.lane = lane;
+    if (when - now_ < kHorizon) {
+        pushSlot(idx, when);
+    } else {
+        heap_.push_back(HeapEntry{when, win_, heapPushes_++, idx, lane});
+        std::push_heap(heap_.begin(), heap_.end());
+    }
+}
+
 // --------------------------------------------------------------------
 // Near wheel
 // --------------------------------------------------------------------
@@ -86,15 +100,36 @@ EventQueue::pushSlot(std::uint32_t idx, Tick when)
 {
     const std::size_t slot = static_cast<std::size_t>(when & kSlotMask);
     std::uint32_t &tail = tails_[slot];
-    if (slotOccupied(slot)) {
-        pool_[idx].next = pool_[tail].next;
-        pool_[tail].next = idx;
-    } else {
-        pool_[idx].next = idx;
-        markSlot(slot);
-    }
-    tail = idx;
+    Event &e = pool_[idx];
+    // The list is sorted by (win, lane, insertion), and no entry is
+    // from a later window than e, so the entries ranked above e are a
+    // suffix: open-window posts on a higher lane. (The 32-bit stamp
+    // does not alias: a wheel entry is under kHorizon ticks old, and
+    // windows open at most once per tick.)
+    const auto above = [&e](const Event &o) {
+        return o.win == e.win && o.lane > e.lane;
+    };
     ++wheelCount_;
+    if (!slotOccupied(slot)) {
+        e.next = idx;
+        markSlot(slot);
+        tail = idx;
+    } else if (!above(pool_[tail])) {
+        e.next = pool_[tail].next;
+        pool_[tail].next = idx;
+        tail = idx;
+    } else {
+        // Walk from the head to the first entry ranked above e (the
+        // tail is one) and link e in front of it.
+        std::uint32_t prev = tail;
+        std::uint32_t cur = pool_[tail].next;
+        while (!above(pool_[cur])) {
+            prev = cur;
+            cur = pool_[cur].next;
+        }
+        e.next = cur;
+        pool_[prev].next = idx;
+    }
 }
 
 std::uint32_t
@@ -142,10 +177,11 @@ EventQueue::nextSlotFrom(std::size_t from) const
 void
 EventQueue::pullHeap()
 {
-    // Heap pops come out ordered by (when, seq), so same-tick events
-    // append to their slot in schedule order. No event for these ticks
-    // can be in the wheel yet: until now_ advanced, they lay at or past
-    // the horizon, where schedule() sends everything to the heap.
+    // Heap pops come out ordered by (when, win, lane, seq), so
+    // same-tick events append to their slot in key order. No event for
+    // these ticks can be in the wheel yet: until now_ advanced, they lay
+    // at or past the horizon, where insert() sends everything to the
+    // heap.
     const Tick limit = now_ + kHorizon;
     while (!heap_.empty() && heap_.front().when < limit) {
         std::pop_heap(heap_.begin(), heap_.end());
@@ -156,7 +192,7 @@ EventQueue::pullHeap()
 }
 
 Tick
-EventQueue::nextEventTime() const
+EventQueue::nextTime() const
 {
     if (wheelCount_ > 0) {
         // The wheel holds only ticks in [now_, now_ + kHorizon), and
@@ -181,10 +217,25 @@ EventQueue::popAndRun(Tick when)
         if (!heap_.empty() && heap_.front().when < now_ + kHorizon)
             pullHeap();
     }
+    if (when >= winEnd_) {
+        ++win_;
+        ++windows_;
+        winEnd_ = when + lookahead_;
+    }
     const std::uint32_t idx =
         popSlot(static_cast<std::size_t>(when & kSlotMask));
-    --pending_;
     ++executed_;
+    if (pool_[idx].lane != 0) {
+        // A post reached its destination unit: pay the last leg, then
+        // re-queue the same node as this event's schedule().
+        const Tick t = transport_(transportCtx_, when, pool_[idx].dest,
+                                  pool_[idx].bits);
+        SYNCRON_ASSERT(t >= now_, "transport hook returned the past: "
+                                      << t << " < " << now_);
+        insert(idx, t, 0);
+        return;
+    }
+    --pending_;
     // Move the callback out and recycle the node before invoking it, so
     // the callback may schedule (and reuse the node) freely.
     Callback cb = std::move(pool_[idx].cb);
@@ -202,35 +253,53 @@ EventQueue::schedule(Tick when, Callback cb)
     SYNCRON_ASSERT(when >= now_,
                    "scheduling into the past: when=" << when
                        << " now=" << now_);
-    const std::uint32_t idx = allocNode(std::move(cb));
-    if (when - now_ < kHorizon) {
-        pushSlot(idx, when);
-    } else {
-        heap_.push_back(HeapEntry{when, heapPushes_++, idx});
-        std::push_heap(heap_.begin(), heap_.end());
-    }
+    insert(allocNode(std::move(cb)), when, 0);
     ++pending_;
 }
 
-bool
-EventQueue::runOne()
+void
+EventQueue::setTransport(Tick lookahead, void *ctx, Transport hook)
 {
-    const Tick t = nextEventTime();
-    if (t == kTickNever)
-        return false;
-    popAndRun(t);
-    return true;
+    SYNCRON_ASSERT(lookahead > 0 && hook != nullptr,
+                   "cross-unit transport needs a lookahead > 0 and a "
+                   "hook");
+    lookahead_ = lookahead;
+    transportCtx_ = ctx;
+    transport_ = hook;
+}
+
+void
+EventQueue::post(Tick when, std::uint16_t lane, std::uint16_t dest,
+                 std::uint32_t bits, Callback cb)
+{
+    SYNCRON_ASSERT(transport_ != nullptr && lane != 0,
+                   "post() needs a transport and a lane > 0");
+    // Landing inside its own window would break the order key's promise
+    // to sort the post after every schedule() of that window.
+    SYNCRON_ASSERT(when >= now_ && when >= winEnd_,
+                   "post lands inside its own window: when=" << when
+                       << " now=" << now_ << " window end=" << winEnd_);
+    const std::uint32_t idx = allocNode(std::move(cb));
+    pool_[idx].dest = dest;
+    pool_[idx].bits = bits;
+    insert(idx, when, lane);
+    ++pending_;
+    ++posts_;
 }
 
 Tick
 EventQueue::run(Tick until)
 {
     for (;;) {
-        const Tick t = nextEventTime();
+        const Tick t = nextTime();
         if (t == kTickNever || t > until)
             break;
         popAndRun(t);
     }
+    // Close the open window: whatever is queued or posted next ranks
+    // after this window's posts.
+    ++win_;
+    winEnd_ = 0;
     return now_;
 }
 

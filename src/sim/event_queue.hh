@@ -9,7 +9,8 @@
  * queue resumes when their pending operation completes.
  *
  * Events at the same tick execute in scheduling order (FIFO), which makes
- * every simulation deterministic and reproducible.
+ * every simulation deterministic and reproducible. Cross-unit messages
+ * (post()) take one exception to FIFO, described below.
  *
  * Implementation: a near timing wheel at 1-tick granularity plus an
  * overflow min-heap for far-future events, backed by a free-list node
@@ -28,6 +29,19 @@
  * runs. Same-tick FIFO holds by construction: a heap entry for tick T
  * was scheduled before now + kHorizon passed T, so it precedes every
  * event later inserted into T's slot directly.
+ *
+ * Cross-unit order key: post() queues a cross-unit message at its link
+ * arrival. Popping an event at or past the open window's end (its first
+ * tick + lookahead) opens the next window; run() closes it on return.
+ * Among the events of one tick, a post sorts as if scheduled when its
+ * window closed: after every schedule() of that window (even later
+ * ones), before anything scheduled in a later window, and by lane (FIFO
+ * within a lane) among that window's posts. Slot lists and the heap
+ * stay sorted by (window, lane, insertion), with lane 0 for schedule();
+ * an insert appends at its slot's tail unless the tail is an
+ * open-window post ranked above it, and only then walks the list. At
+ * its arrival a post runs the transport hook (the last leg), and the
+ * same node waits for the returned tick as if schedule()d there.
  */
 
 #ifndef SYNCRON_SIM_EVENT_QUEUE_HH
@@ -78,12 +92,34 @@ class EventQueue
     /** Schedules @p cb @p delta ticks from now. */
     void scheduleIn(Tick delta, Callback cb) { schedule(now_ + delta, std::move(cb)); }
 
-    /** Executes the next event; returns false when the queue is empty. */
-    bool runOne();
+    /**
+     * Pays the last leg of a cross-unit message that reached unit
+     * @p dest at @p arrival; returns the tick its continuation runs.
+     */
+    using Transport = Tick (*)(void *ctx, Tick arrival,
+                               std::uint16_t dest, std::uint32_t bits);
+
+    /**
+     * Installs the cross-unit transport: windows of @p lookahead ticks
+     * (> 0, at most the floor of any post's arrival - now) and the hook
+     * every post() arrival runs.
+     */
+    void setTransport(Tick lookahead, void *ctx, Transport hook);
+
+    /**
+     * Posts a @p bits -bit cross-unit message from lane @p lane
+     * (source unit + 1) that reaches unit @p dest at @p when, at least
+     * a lookahead past the open window's start. At @p when the
+     * transport hook runs; @p cb runs at the tick it returns. Same-tick
+     * order follows the order key in the file comment.
+     */
+    void post(Tick when, std::uint16_t lane, std::uint16_t dest,
+              std::uint32_t bits, Callback cb);
 
     /**
      * Runs events until the queue is empty or simulated time would exceed
-     * @p until. Returns the tick of the last executed event.
+     * @p until, then closes the open window. Returns the tick of the last
+     * executed event.
      */
     Tick run(Tick until = kTickNever);
 
@@ -100,13 +136,15 @@ class EventQueue
      *  through the overflow heap (perf accounting). */
     std::uint64_t heapPushes() const { return heapPushes_; }
 
-    /**
-     * Tick of the earliest pending event, or kTickNever when empty.
-     * Pure (moves nothing out of the heap), so Machine::run() can read
-     * the next window's start between bounded run(until) windows
-     * without perturbing queue state.
-     */
-    Tick nextTime() const { return nextEventTime(); }
+    /** Order-key windows opened so far (host perf). */
+    std::uint64_t windows() const { return windows_; }
+
+    /** Cross-unit messages post()ed so far (host perf). */
+    std::uint64_t posts() const { return posts_; }
+
+    /** Tick of the earliest pending event, or kTickNever when empty.
+     *  Pure: moves nothing out of the heap. */
+    Tick nextTime() const;
 
   private:
     // -- Geometry ------------------------------------------------------
@@ -117,19 +155,28 @@ class EventQueue
     static constexpr std::uint32_t kNilIdx = ~std::uint32_t{0};
 
     /** Pooled event node. In the wheel, `next` links a slot's circular
-     *  FIFO list; on the free list, the next free node. */
+     *  list, sorted by (win, lane, insertion); on the free list, the
+     *  next free node. The order key and the post fields fill the
+     *  callback's alignment padding. */
     struct Event
     {
         Callback cb;
         std::uint32_t next = kNilIdx;
+        std::uint32_t win = 0;   ///< window at insertion (low 32 bits)
+        std::uint16_t lane = 0;  ///< 0: schedule(); > 0: post in flight
+        std::uint16_t dest = 0;  ///< post: destination unit
+        std::uint32_t bits = 0;  ///< post: message size
     };
+    static_assert(sizeof(Event) == 96, "event node outgrew 96 bytes");
 
-    /** Overflow-heap entry (min-heap on (when, seq)). */
+    /** Overflow-heap entry (min-heap on (when, win, lane, seq)). */
     struct HeapEntry
     {
         Tick when;
-        std::uint64_t seq; ///< tie-breaker: FIFO among same ticks
+        std::uint64_t win;
+        std::uint64_t seq; ///< tie-breaker: FIFO within a lane
         std::uint32_t idx; ///< pool index
+        std::uint16_t lane;
 
         bool
         operator<(const HeapEntry &o) const
@@ -137,6 +184,10 @@ class EventQueue
             // std::push_heap builds a max-heap; invert for a min-heap.
             if (when != o.when)
                 return when > o.when;
+            if (win != o.win)
+                return win > o.win;
+            if (lane != o.lane)
+                return lane > o.lane;
             return seq > o.seq;
         }
     };
@@ -145,7 +196,12 @@ class EventQueue
     std::uint32_t allocNode(Callback &&cb);
     void freeNode(std::uint32_t idx);
 
+    /** Stamps node @p idx with the open window and @p lane and queues
+     *  it at @p when: in the wheel inside the horizon, else the heap. */
+    void insert(std::uint32_t idx, Tick when, std::uint16_t lane);
+
     // -- Wheel ---------------------------------------------------------
+    /** Links @p idx into its slot at its (win, lane) rank. */
     void pushSlot(std::uint32_t idx, Tick when);
     std::uint32_t popSlot(std::size_t slot);
     /** First non-empty slot index >= @p from, or kWheelSlots. */
@@ -155,14 +211,11 @@ class EventQueue
     void clearSlot(std::size_t slot);
 
     /** Moves every heap entry inside [now_, now_ + kHorizon) into the
-     *  wheel, in (when, seq) order. Called whenever now_ advances and
-     *  the heap minimum falls inside that window. */
+     *  wheel, in (when, win, lane, seq) order. Called whenever now_
+     *  advances and the heap minimum falls inside that window. */
     void pullHeap();
 
-    /** Tick of the next pending event, or kTickNever. */
-    Tick nextEventTime() const;
-
-    /** Advances to @p when (the nextEventTime()), pops and runs it. */
+    /** Advances to @p when (the nextTime()), pops and runs it. */
     void popAndRun(Tick when);
 
     std::vector<Event> pool_;
@@ -185,6 +238,15 @@ class EventQueue
     std::size_t pending_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t heapPushes_ = 0; ///< also the heap's FIFO sequence
+
+    // -- Cross-unit transport and order-key windows ---------------------
+    Transport transport_ = nullptr;
+    void *transportCtx_ = nullptr;
+    Tick lookahead_ = 1;
+    Tick winEnd_ = 0;       ///< end of the open window; 0 when closed
+    std::uint64_t win_ = 0; ///< current window (a closed one counts too)
+    std::uint64_t windows_ = 0;
+    std::uint64_t posts_ = 0;
 };
 
 } // namespace syncron::sim

@@ -318,8 +318,8 @@ SynCronBackend::sendToStation(UnitId from, UnitId to, SyncMessage msg,
     } else {
         ++machine_.stats().syncGlobalMsgs;
     }
-    // The engine's only cross-unit transport: a mailbox envelope
-    // delivered to @p to at the next window barrier.
+    // The engine's only cross-unit transport: a post delivered to @p to
+    // in the queue's cross-unit order.
     machine_.postMessage(depart, from, to, sync::kSyncReqBits,
                          [this, to, msg] { receive(to, msg); });
 }

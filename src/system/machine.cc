@@ -1,7 +1,5 @@
 #include "system/machine.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace syncron {
@@ -12,7 +10,7 @@ namespace {
  * Floor of any cross-unit path: the source-crossbar traversal of a
  * minimal (one-flit) message, the link controller overhead, and the
  * link flight time. Serialization (>= 1 tick) and the destination
- * crossbar add further margin on top — envelopes stamp the real, larger
+ * crossbar add further margin on top — posts stamp the real, larger
  * arrival tick; this bound only has to be conservative.
  */
 Tick
@@ -35,8 +33,19 @@ Machine::Machine(const SystemConfig &cfg)
 {
     cfg_.validate();
     lookahead_ = crossUnitFloor(cfg_);
-    mailboxActive_ = lookahead_ > 0;
-    unitSeq_.assign(cfg_.numUnits, 0);
+    SYNCRON_ASSERT(lookahead_ > 0,
+                   "zero cross-unit lookahead: xbar (arbiterCycles + hops "
+                   "* hopCycles + 1) * cyclePeriod + link ctrlCycles * "
+                   "cyclePeriod + flightTicks must be > 0");
+    eq_.setTransport(lookahead_, this,
+                     [](void *m, Tick arrival, std::uint16_t dest,
+                        std::uint32_t bits) {
+                         // The link leg ends at the stamp; the
+                         // destination crossbar is paid now.
+                         return static_cast<Machine *>(m)
+                             ->xbar(dest)
+                             .transfer(arrival, bits);
+                     });
 
     const mem::DramParams dramParams =
         mem::DramParams::forTech(cfg_.dramTech);
@@ -64,25 +73,6 @@ Machine::dram(UnitId unit)
 {
     SYNCRON_ASSERT(unit < drams_.size(), "dram: unknown unit " << unit);
     return *drams_[unit];
-}
-
-void
-Machine::run(Tick until)
-{
-    for (;;) {
-        drainMailboxes();
-        const Tick w = eq_.nextTime();
-        if (w == kTickNever || w > until)
-            break;
-        // run(limit) is inclusive: the window covers
-        // [w, w + lookahead - 1], so no event inside it can post an
-        // envelope (stamped >= t + lookahead) that lands inside the
-        // same window. Without a lookahead the queue steps one tick at
-        // a time.
-        const Tick limit = mailboxActive_ ? w + lookahead_ - 1 : w;
-        eq_.run(std::min(limit, until));
-        ++windows_;
-    }
 }
 
 Tick
@@ -120,23 +110,16 @@ void
 Machine::postMessage(Tick start, UnitId from, UnitId to,
                      std::uint32_t bits, Callback cont)
 {
-    if (from == to) {
-        const Tick t = xbar(from).transfer(start, bits);
-        eq_.schedule(t, std::move(cont));
-        return;
-    }
-    if (!mailboxActive_) {
-        // Zero-lookahead fallback: synchronous transport.
-        const Tick t = routeMessage(start, from, to, bits);
-        eq_.schedule(t, std::move(cont));
-        return;
-    }
-    // Source-side legs run now; the destination crossbar is paid by
-    // deliverEnvelope() at the stamped arrival.
     Tick t = xbar(from).transfer(start, bits);
+    if (from == to) {
+        eq_.schedule(t, std::move(cont));
+        return;
+    }
+    // Source-side legs run now; the queue's transport hook pays the
+    // destination crossbar at the stamped arrival.
     t = links_->send(t, from, to, (bits + 7) / 8);
-    outbox_.push_back(Envelope{t, bits, to, from, unitSeq_[from]++,
-                               std::move(cont)});
+    eq_.post(t, static_cast<std::uint16_t>(from + 1),
+             static_cast<std::uint16_t>(to), bits, std::move(cont));
 }
 
 void
@@ -147,13 +130,13 @@ Machine::memoryAccessAsync(Tick start, UnitId from, Addr addr,
     const UnitId home = mem::unitOfAddr(addr);
     SYNCRON_ASSERT(home < cfg_.numUnits,
                    "access to address outside the system: " << addr);
-    if (home == from || !mailboxActive_) {
+    if (home == from) {
         const Tick done = memoryAccess(start, from, addr, isWrite, bytes);
         eq_.schedule(done, std::move(onDone));
         return;
     }
     // Park the completion callback and thread its slot index through
-    // both envelopes — nesting the callback itself would overflow the
+    // both posts — nesting the callback itself would overflow the
     // inline-callback bound.
     const std::uint32_t pend = parkMemCallback(std::move(onDone));
     const std::uint32_t reqBits =
@@ -177,7 +160,7 @@ Machine::memoryAccessDetached(Tick start, UnitId from, Addr addr,
     const UnitId home = mem::unitOfAddr(addr);
     SYNCRON_ASSERT(home < cfg_.numUnits,
                    "access to address outside the system: " << addr);
-    if (home == from || !mailboxActive_) {
+    if (home == from) {
         memoryAccess(start, from, addr, isWrite, bytes);
         return;
     }
@@ -193,30 +176,6 @@ Machine::memoryAccessDetached(Tick start, UnitId from, Addr addr,
                     // The response still occupies the path home -> from.
                     postMessage(t, h, from, respBits, [] {});
                 });
-}
-
-std::uint32_t
-Machine::allocInflight(Envelope &&env)
-{
-    if (!inflightFree_.empty()) {
-        const std::uint32_t idx = inflightFree_.back();
-        inflightFree_.pop_back();
-        inflight_[idx] = std::move(env);
-        return idx;
-    }
-    inflight_.push_back(std::move(env));
-    return static_cast<std::uint32_t>(inflight_.size() - 1);
-}
-
-void
-Machine::deliverEnvelope(std::uint32_t idx)
-{
-    Envelope env = std::move(inflight_[idx]);
-    inflightFree_.push_back(idx);
-    // The envelope's stamp is the link arrival; the destination-crossbar
-    // traversal happens now.
-    const Tick t = xbar(env.to).transfer(eq_.now(), env.bits);
-    eq_.schedule(t, std::move(env.cont));
 }
 
 std::uint32_t
@@ -238,36 +197,6 @@ Machine::completeMemOp(std::uint32_t idx)
     Callback cb = std::move(memPending_[idx]);
     memPendingFree_.push_back(idx);
     cb();
-}
-
-void
-Machine::drainMailboxes()
-{
-    // Schedule one delivery event per envelope, in (arrival, source
-    // unit, per-unit sequence) order. Scheduling runs no event, so the
-    // outbox cannot grow while it is walked; clear() keeps its capacity
-    // for the next window.
-    if (outbox_.empty())
-        return;
-    const auto before = [](const Envelope &a, const Envelope &b) {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.srcUnit != b.srcUnit)
-            return a.srcUnit < b.srcUnit;
-        return a.seq < b.seq;
-    };
-    if (!std::is_sorted(outbox_.begin(), outbox_.end(), before))
-        std::sort(outbox_.begin(), outbox_.end(), before);
-    envelopes_ += outbox_.size();
-    for (Envelope &env : outbox_) {
-        const Tick when = env.when;
-        SYNCRON_ASSERT(when >= eq_.now(),
-                       "mailbox envelope arrived in the past: "
-                           << when << " < " << eq_.now());
-        const std::uint32_t idx = allocInflight(std::move(env));
-        eq_.schedule(when, [this, idx] { deliverEnvelope(idx); });
-    }
-    outbox_.clear();
 }
 
 } // namespace syncron

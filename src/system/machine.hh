@@ -12,13 +12,14 @@
  *
  * Both return the arrival tick and touch the destination synchronously.
  * The asynchronous forms — postMessage() / memoryAccessAsync() — run a
- * continuation at the arrival instead, and their cross-unit leg is a
- * mailbox envelope stamped with the earliest-arrival tick. run() steps
- * the queue in lookahead-sized windows and delivers the envelopes at
- * each window barrier in (arrival, source unit, per-unit sequence)
- * order. That order, not the post order, fixes where a delivery lands
- * among the events already queued on its tick, so it is part of what
- * the simulator computes: changing it changes simulated output.
+ * continuation at the arrival instead. A cross-unit leg pays the source
+ * crossbar and link when sent, then goes into the event queue as a
+ * post() on lane (source unit + 1), stamped with the link arrival; the
+ * transport hook installed here pays the destination crossbar on
+ * arrival. Same-tick posts follow the queue's order key over
+ * lookahead()-tick windows (sim/event_queue.hh), not post order; that
+ * order fixes where a delivery lands among the events already queued
+ * on its tick, so changing it changes simulated output.
  */
 
 #ifndef SYNCRON_SYSTEM_MACHINE_HH
@@ -72,32 +73,20 @@ class Machine
     net::LinkFabric &links() { return *links_; }
 
     /**
-     * Window length: the minimum number of ticks any cross-unit message
-     * needs (source crossbar floor + link controller + flight).
-     * Envelopes are always stamped at least this far in the future, so
-     * none posted inside a window can land inside it.
+     * Order-key window length: the minimum number of ticks any
+     * cross-unit message needs (source crossbar floor + link controller
+     * + flight), > 0 for every constructible machine. Posts are always
+     * stamped at least this far in the future, so none posted inside a
+     * window can land inside it.
      */
     Tick lookahead() const { return lookahead_; }
 
-    /** True when cross-unit traffic goes through mailbox envelopes
-     *  (lookahead > 0). With a zero lookahead, run() steps tick by tick
-     *  and cross-unit messages take the synchronous path. */
-    bool mailboxActive() const { return mailboxActive_; }
-
     /**
-     * Runs the queue in windows until it and the mailbox drain, or
-     * until the next event lies past @p until (bounded stepping for
-     * crash injection): events at ticks <= until execute, later ones
-     * stay queued. Each window starts with a mailbox drain and covers
-     * [w, w + lookahead - 1] from the next event's tick w.
+     * Runs the queue until it drains, or until the next event lies past
+     * @p until (bounded stepping for crash injection): events at ticks
+     * <= until execute, later ones stay queued.
      */
-    void run(Tick until = kTickNever);
-
-    /** Windows run() has executed so far (host perf). */
-    std::uint64_t windows() const { return windows_; }
-
-    /** Mailbox envelopes delivered into the queue so far (host perf). */
-    std::uint64_t envelopes() const { return envelopes_; }
+    void run(Tick until = kTickNever) { eq_.run(until); }
 
     // -- Synchronous transport -----------------------------------------
     /**
@@ -125,8 +114,7 @@ class Machine
      * Delivers a @p bits -bit message from @p from to @p to and runs
      * @p cont at the arrival tick (after the destination-crossbar
      * traversal; read the arrival via eq().now()). Same-unit messages
-     * schedule directly; cross-unit messages become mailbox envelopes
-     * delivered at the next window barrier.
+     * schedule directly; cross-unit messages are post()ed.
      */
     void postMessage(Tick start, UnitId from, UnitId to,
                      std::uint32_t bits, Callback cont);
@@ -153,45 +141,19 @@ class Machine
     bool crashed() const { return crashed_; }
 
   private:
-    /** Cross-unit message awaiting barrier delivery. */
-    struct Envelope
-    {
-        Tick when = 0;          ///< earliest arrival at the dest unit
-        std::uint32_t bits = 0; ///< pays the dest-crossbar traversal
-        UnitId to = 0;
-        UnitId srcUnit = 0;     ///< deterministic drain order key ...
-        std::uint64_t seq = 0;  ///< ... (when, srcUnit, seq) is total
-        Callback cont;
-    };
-
-    /** Schedules one delivery event per posted envelope, ordered by
-     *  (arrival, source unit, source sequence). Barrier time only. */
-    void drainMailboxes();
-    std::uint32_t allocInflight(Envelope &&env);
-    void deliverEnvelope(std::uint32_t idx);
     std::uint32_t parkMemCallback(Callback cb);
     void completeMemOp(std::uint32_t idx);
 
     SystemConfig cfg_;
     Tick lookahead_ = 0;
     bool crashed_ = false;
-    bool mailboxActive_ = false;
     sim::EventQueue eq_;
     SystemStats stats_;
-    /// Envelopes posted since the last barrier.
-    std::vector<Envelope> outbox_;
-    /// Envelopes delivered into the queue, awaiting their event.
-    std::vector<Envelope> inflight_;
-    std::vector<std::uint32_t> inflightFree_;
     /// Parked completion callbacks for in-flight async memory ops (the
-    /// slot index rides the envelopes so nested captures never exceed
-    /// the callback bound).
+    /// slot index rides the posts so nested captures never exceed the
+    /// callback bound).
     std::vector<Callback> memPending_;
     std::vector<std::uint32_t> memPendingFree_;
-    /// Next envelope sequence number per source unit.
-    std::vector<std::uint64_t> unitSeq_;
-    std::uint64_t envelopes_ = 0;
-    std::uint64_t windows_ = 0;
     mem::AddressSpace addrSpace_;
     std::vector<std::unique_ptr<net::Crossbar>> xbars_;
     std::vector<std::unique_ptr<mem::Dram>> drams_;

@@ -93,9 +93,9 @@ void
 NdpSystem::run()
 {
     const SystemConfig &cfg = machine_->config();
-    const std::uint64_t windowsBefore = machine_->windows();
+    const std::uint64_t windowsBefore = machine_->eq().windows();
     machine_->run(cfg.crashAtTick != 0 ? cfg.crashAtTick : kTickNever);
-    kernelWindows_ = machine_->windows() - windowsBefore;
+    kernelWindows_ = machine_->eq().windows() - windowsBefore;
     if (cfg.crashAtTick != 0) {
         bool pending = false;
         for (const sim::Process &p : processes_) {

@@ -75,7 +75,7 @@ class NdpSystem
 
     /**
      * Runs the simulation until every spawned process completes, driving
-     * the event queue through Machine::run()'s windowed loop.
+     * the event queue through Machine::run().
      * fatal()s on deadlock (event queue empty, processes pending).
      * With SystemConfig::tracePath set, writes the captured
      * synchronization-operation trace there on completion.
@@ -92,8 +92,8 @@ class NdpSystem
     /** True when the last run() ended at the injected crash. */
     bool crashed() const { return machine_->crashed(); }
 
-    /** Windows the last run() executed (host perf; see
-     *  Machine::run()). */
+    /** Order-key windows the last run() opened (host perf; see
+     *  sim::EventQueue::windows()). */
     std::uint64_t kernelWindows() const { return kernelWindows_; }
 
     /**

@@ -32,7 +32,6 @@ SimBstDrachsler::SimBstDrachsler(NdpSystem &sys, unsigned initialSize)
 std::size_t
 SimBstDrachsler::size() const
 {
-    std::lock_guard<std::mutex> lock(deletedMu_);
     return nodes_.size() - deleted_.size();
 }
 
@@ -99,10 +98,7 @@ SimBstDrachsler::worker(Core &c, unsigned ops)
             co_await c.store(pred.addr, 16, MemKind::SharedRW);
         }
         mine.insert(key);
-        {
-            std::lock_guard<std::mutex> lock(deletedMu_);
-            deleted_.insert(key);
-        }
+        deleted_.insert(key);
         co_await api.release(c, victim.lock);
         if (havePred)
             co_await api.release(c, pred.lock);

@@ -48,7 +48,7 @@ SimHashTable::worker(Core &c, unsigned ops)
             }
         }
         if (found)
-            hits_.fetch_add(1, std::memory_order_relaxed);
+            ++hits_;
         co_await guard.unlock();
         co_await c.compute(10);
     }

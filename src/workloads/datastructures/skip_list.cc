@@ -46,7 +46,6 @@ SimSkipList::SimSkipList(NdpSystem &sys, unsigned initialSize)
 std::size_t
 SimSkipList::size() const
 {
-    std::lock_guard<std::mutex> lock(deletedMu_);
     return nodes_.size() - deleted_.size();
 }
 
@@ -117,10 +116,7 @@ SimSkipList::worker(Core &c, unsigned ops)
                             MemKind::SharedRW);
         }
         mine.insert(key);
-        {
-            std::lock_guard<std::mutex> lock(deletedMu_);
-            deleted_.insert(key);
-        }
+        deleted_.insert(key);
 
         co_await api.release(c, victim.lock);
         if (havePred)

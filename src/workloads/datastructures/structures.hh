@@ -33,10 +33,8 @@
 #ifndef SYNCRON_WORKLOADS_DATASTRUCTURES_STRUCTURES_HH
 #define SYNCRON_WORKLOADS_DATASTRUCTURES_STRUCTURES_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <vector>
 
@@ -148,10 +146,8 @@ class SimSkipList
     std::map<std::uint64_t, Node> nodes_; ///< key -> node; run-immutable
     unsigned maxLevel_;
     /// Keys unlinked by any worker — host bookkeeping for size() only,
-    /// never read during the run (a set union is commutative, so the
-    /// quiescent contents do not depend on host thread interleaving).
+    /// never read during the run.
     std::set<std::uint64_t> deleted_;
-    mutable std::mutex deletedMu_;
 };
 
 /** Chained hash table with per-bucket locks. */
@@ -161,7 +157,7 @@ class SimHashTable
     SimHashTable(NdpSystem &sys, unsigned initialSize);
     /** 100% lookup. */
     sim::Process worker(core::Core &c, unsigned ops);
-    std::uint64_t hits() const { return hits_.load(); }
+    std::uint64_t hits() const { return hits_; }
 
   private:
     NdpSystem &sys_;
@@ -169,9 +165,8 @@ class SimHashTable
     sync::LockSet bucketLocks_;
     std::vector<std::vector<std::pair<std::uint64_t, Addr>>> buckets_;
     std::uint64_t keyRange_;
-    /// Successful lookups. Bumped under per-BUCKET locks; the sum is
-    /// commutative and only read at quiescence.
-    std::atomic<std::uint64_t> hits_{0};
+    /// Successful lookups; read at quiescence.
+    std::uint64_t hits_ = 0;
 };
 
 /** Sorted singly-linked list with hand-over-hand (coupling) locking. */
@@ -254,7 +249,6 @@ class SimBstDrachsler
     std::map<std::uint64_t, Node> nodes_; ///< run-immutable
     /// Unlinked keys — host bookkeeping for size(), quiescence only.
     std::set<std::uint64_t> deleted_;
-    mutable std::mutex deletedMu_;
 };
 
 } // namespace syncron::workloads

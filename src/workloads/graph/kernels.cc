@@ -1,7 +1,6 @@
 #include "workloads/graph/kernels.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <limits>
 
@@ -30,9 +29,8 @@ struct Ctx
     // fences all sets before any read; barrier B fences the reset away
     // from both iteration i+1's setters and its readers.
     Addr flagAddr[3] = {0, 0, 0};
-    // Set-once per iteration by any worker (a commutative OR), read
-    // only after the fencing barrier.
-    std::atomic<bool> hostFlag[3] = {false, false, false};
+    // Set by any changed worker, read only after the fencing barrier.
+    bool hostFlag[3] = {false, false, false};
     std::vector<std::int64_t> value;
     std::vector<std::int64_t> aux;
     /// Iteration-start copy of value for the iterative apps' unlocked
@@ -43,9 +41,8 @@ struct Ctx
     /// Jacobi-style stale reads — the locked section re-checks the
     /// live value.
     std::vector<std::int64_t> snap;
-    /// Bumped under per-VERTEX locks; the sum is commutative and only
-    /// read at quiescence.
-    std::atomic<std::uint64_t> updates{0};
+    /// Bumped under per-VERTEX locks; read at quiescence.
+    std::uint64_t updates = 0;
     unsigned iterations = 0;
     unsigned total = 0;
     unsigned clientsPerUnit = 0;
@@ -97,7 +94,7 @@ bfsWorker(Core &c, Ctx &ctx, unsigned idx)
                     ctx.value[u] = static_cast<std::int64_t>(iter) + 1;
                     co_await c.store(ctx.placed.vertexData(u), 8,
                                      MemKind::SharedRW);
-                    ctx.updates.fetch_add(1, std::memory_order_relaxed);
+                    ++ctx.updates;
                     changed = true;
                 }
                 co_await api.release(c, ctx.placed.vertexLock(u));
@@ -107,15 +104,15 @@ bfsWorker(Core &c, Ctx &ctx, unsigned idx)
         // a live read of hostFlag would make WHICH worker stores (a
         // simulated event) depend on the order the workers finish.
         if (changed) {
-            ctx.hostFlag[iter % 3].store(true);
+            ctx.hostFlag[iter % 3] = true;
             co_await c.store(ctx.flagAddr[iter % 3], 8,
                              MemKind::SharedRW);
         }
         co_await api.wait(c, ctx.bar);
         co_await c.load(ctx.flagAddr[iter % 3], 8, MemKind::SharedRW);
-        const bool any = ctx.hostFlag[iter % 3].load();
+        const bool any = ctx.hostFlag[iter % 3];
         if (idx == 0) {
-            ctx.hostFlag[(iter + 1) % 3].store(false);
+            ctx.hostFlag[(iter + 1) % 3] = false;
             co_await c.store(ctx.flagAddr[(iter + 1) % 3], 8,
                              MemKind::SharedRW);
             ctx.snap = ctx.value; // fenced by the two barriers
@@ -164,7 +161,7 @@ propagateWorker(Core &c, Ctx &ctx, unsigned idx, bool weighted)
                     ctx.value[u] = cand;
                     co_await c.store(ctx.placed.vertexData(u), 8,
                                      MemKind::SharedRW);
-                    ctx.updates.fetch_add(1, std::memory_order_relaxed);
+                    ++ctx.updates;
                     changed = true;
                 }
                 co_await api.release(c, ctx.placed.vertexLock(u));
@@ -173,15 +170,15 @@ propagateWorker(Core &c, Ctx &ctx, unsigned idx, bool weighted)
         // See bfsWorker: unconditional publish keeps the event stream
         // independent of host interleaving.
         if (changed) {
-            ctx.hostFlag[iter % 3].store(true);
+            ctx.hostFlag[iter % 3] = true;
             co_await c.store(ctx.flagAddr[iter % 3], 8,
                              MemKind::SharedRW);
         }
         co_await api.wait(c, ctx.bar);
         co_await c.load(ctx.flagAddr[iter % 3], 8, MemKind::SharedRW);
-        const bool any = ctx.hostFlag[iter % 3].load();
+        const bool any = ctx.hostFlag[iter % 3];
         if (idx == 0) {
-            ctx.hostFlag[(iter + 1) % 3].store(false);
+            ctx.hostFlag[(iter + 1) % 3] = false;
             co_await c.store(ctx.flagAddr[(iter + 1) % 3], 8,
                              MemKind::SharedRW);
             ctx.snap = ctx.value; // fenced by the two barriers
@@ -224,7 +221,7 @@ prWorker(Core &c, Ctx &ctx, unsigned idx)
                 ctx.aux[u] += contrib;
                 co_await c.store(ctx.placed.vertexData(u), 8,
                                  MemKind::SharedRW);
-                ctx.updates.fetch_add(1, std::memory_order_relaxed);
+                ++ctx.updates;
                 co_await api.release(c, ctx.placed.vertexLock(u));
             }
         }
@@ -270,7 +267,7 @@ tfWorker(Core &c, Ctx &ctx, unsigned idx)
             ++ctx.value[u];
             co_await c.store(ctx.placed.vertexData(u), 8,
                              MemKind::SharedRW);
-            ctx.updates.fetch_add(1, std::memory_order_relaxed);
+            ++ctx.updates;
             co_await api.release(c, ctx.placed.vertexLock(u));
         }
     }
@@ -329,7 +326,7 @@ tcWorker(Core &c, Ctx &ctx, unsigned idx)
             ctx.value[v] += triangles;
             co_await c.store(ctx.placed.vertexData(v), 8,
                              MemKind::SharedRW);
-            ctx.updates.fetch_add(1, std::memory_order_relaxed);
+            ++ctx.updates;
             co_await api.release(c, ctx.placed.vertexLock(v));
         }
     }
@@ -443,7 +440,7 @@ runGraphApp(NdpSystem &sys, PlacedGraph &placed, GraphApp app,
 
     GraphRunResult result;
     result.time = sys.elapsed() - startTime;
-    result.updates = ctx.updates.load();
+    result.updates = ctx.updates;
     result.iterations = ctx.iterations;
     result.values = std::move(ctx.value);
     return result;

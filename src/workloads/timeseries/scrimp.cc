@@ -143,7 +143,7 @@ ScrimpWorkload::worker(Core &c, unsigned idx, unsigned total)
                     profile_[i] = d;
                     co_await c.store(profileAddr_[i], 8,
                                      MemKind::SharedRW);
-                    updates_.fetch_add(1, std::memory_order_relaxed);
+                    ++updates_;
                 }
                 bound[i] = profile_[i];
                 co_await api.release(c, locks_[i]);
@@ -156,7 +156,7 @@ ScrimpWorkload::worker(Core &c, unsigned idx, unsigned total)
                     profile_[j] = d;
                     co_await c.store(profileAddr_[j], 8,
                                      MemKind::SharedRW);
-                    updates_.fetch_add(1, std::memory_order_relaxed);
+                    ++updates_;
                 }
                 bound[j] = profile_[j];
                 co_await api.release(c, locks_[j]);

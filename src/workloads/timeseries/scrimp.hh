@@ -18,7 +18,6 @@
 #ifndef SYNCRON_WORKLOADS_TIMESERIES_SCRIMP_HH
 #define SYNCRON_WORKLOADS_TIMESERIES_SCRIMP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,7 +74,7 @@ class ScrimpWorkload
     /** Host-side reference profile for verification. */
     std::vector<double> hostProfile() const;
 
-    std::uint64_t updates() const { return updates_.load(); }
+    std::uint64_t updates() const { return updates_; }
 
   private:
     double cellValue(std::size_t i, std::size_t j) const;
@@ -88,9 +87,9 @@ class ScrimpWorkload
     std::vector<Addr> seriesAddr_; ///< per-unit replica base
     sync::LockSet locks_;
     sync::Barrier bar_;
-    /// Profile improvements. Bumped under per-ELEMENT locks; the sum is
-    /// commutative and only read at quiescence.
-    std::atomic<std::uint64_t> updates_{0};
+    /// Profile improvements. Bumped under per-ELEMENT locks; read at
+    /// quiescence.
+    std::uint64_t updates_ = 0;
 };
 
 } // namespace syncron::workloads

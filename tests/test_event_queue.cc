@@ -3,9 +3,11 @@
  * Tests for the timing-wheel event queue: same-tick FIFO determinism,
  * the sliding horizon's wheel/overflow-heap edges (including a
  * differential test against a (when, seq) sort), run(until) boundary
- * semantics, Machine::run()'s lookahead windows, allocation-freedom of
- * steady-state scheduling and of the mailbox barrier (via a counting
- * global operator new), and serial-vs-parallel grid determinism.
+ * semantics, the cross-unit order key (fixed cases and a differential
+ * test against the window barrier it replaces), Machine::run() and
+ * its order-key windows, allocation-freedom of steady-state scheduling and
+ * of cross-unit posts (via a counting global operator new), and
+ * serial-vs-parallel grid determinism.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,8 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "harness/grid.hh"
@@ -204,10 +208,9 @@ TEST(TimingWheel, RunUntilBoundarySemantics)
 
 TEST(TimingWheel, RunUntilStopsExactlyAtHorizonEdges)
 {
-    // Machine::run() drives run(until) with window limits that
-    // routinely land on (or next to) a multiple of the horizon; the
-    // wheel must stop exactly there, neither executing later events nor
-    // pulling them out of the heap prematurely.
+    // A bounded run(until) may stop on (or next to) a multiple of the
+    // horizon; the wheel must stop exactly there, neither executing
+    // later events nor pulling them out of the heap prematurely.
     EventQueue eq;
     std::vector<Tick> fired;
     const Tick ticks[] = {kHorizon - 1, kHorizon, kHorizon + 1,
@@ -262,7 +265,7 @@ TEST(TimingWheel, RunUntilInsideEmptyGap)
 
 TEST(TimingWheel, RunUntilRepeatedWindowsMatchOneShot)
 {
-    // Driving the queue in lookahead-sized windows (Machine::run()'s
+    // Driving the queue in repeated bounded runs (the crash-injection
     // access pattern) must execute the exact sequence a
     // single unbounded run() produces — including events that schedule
     // follow-ups landing in later windows and past the horizon.
@@ -350,7 +353,7 @@ TEST(TimingWheel, SameTickFifoWhenHeapEntryMeetsDirectInsert)
 TEST(TimingWheel, DifferentialAgainstWhenSeqSortWithBarrierScheduling)
 {
     // Events scheduled from callbacks and, between bounded run(until)
-    // windows, from outside the queue (the mailbox-drain pattern), with
+    // calls, from outside the queue (as a harness adds work), with
     // delays spread around the horizon edge. Every schedule gets a
     // sequence number; the execution order must be the (when, seq) sort
     // of all of them.
@@ -421,6 +424,421 @@ TEST(TimingWheel, PendingAndExecutedCounters)
     eq.run();
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_EQ(eq.executed(), 2u);
+}
+
+// -- Cross-unit order key ----------------------------------------------
+
+/** Queue whose transport hook logs each post's arrival (`bits` carries
+ *  an id) and runs the continuation on the arrival tick. */
+struct PostLog
+{
+    explicit PostLog(Tick lookahead)
+    {
+        eq.setTransport(lookahead, this,
+                        [](void *ctx, Tick at, std::uint16_t,
+                           std::uint32_t id) {
+                            static_cast<PostLog *>(ctx)->order.push_back(
+                                static_cast<int>(id));
+                            return at;
+                        });
+    }
+    void at(Tick when, int id)
+    {
+        eq.schedule(when, [this, id] { order.push_back(id); });
+    }
+    void post(Tick when, std::uint16_t lane, int id)
+    {
+        eq.post(when, lane, 0, static_cast<std::uint32_t>(id), [] {});
+    }
+
+    EventQueue eq;
+    std::vector<int> order;
+};
+
+/**
+ * Lookahead 100. Window A opens at tick 0 and window B at 150; every
+ * event below lands on tick @p target. Returns the arrival order and
+ * the heap pushes those events made.
+ */
+std::pair<std::vector<int>, std::uint64_t>
+sameTickRanks(Tick target)
+{
+    PostLog q(100);
+    q.at(target, 0); // before the first window
+    q.eq.schedule(0, [&q, target] {
+        // Window A: posts on lanes 3, 1, 3, 2 ...
+        q.post(target, 3, 10);
+        q.post(target, 1, 11);
+        q.post(target, 3, 12);
+        q.post(target, 2, 13);
+        q.eq.schedule(50, [&q, target] {
+            // ... then a schedule() later in the same window.
+            q.at(target, 1);
+            q.eq.schedule(150, [&q, target] {
+                // Window B: a schedule() and a post.
+                q.at(target, 2);
+                q.post(target, 1, 20);
+            });
+        });
+    });
+    q.eq.run();
+    EXPECT_EQ(q.eq.windows(), 3u); // A, B and the one at the target
+    EXPECT_EQ(q.eq.posts(), 5u);
+    return {q.order, q.eq.heapPushes()};
+}
+
+// Window A's schedules, then its posts by lane (FIFO within lane 3),
+// then window B's schedule and post.
+const std::vector<int> kSameTickRanks = {0, 1, 11, 13, 10, 12, 2, 20};
+
+TEST(OrderKey, SameTickRanksOnTheWheel)
+{
+    const auto [order, heapPushes] = sameTickRanks(300);
+    EXPECT_EQ(order, kSameTickRanks);
+    EXPECT_EQ(heapPushes, 0u);
+}
+
+TEST(OrderKey, SameTickRanksThroughTheOverflowHeap)
+{
+    // Every event for the target lies at or past the horizon when made.
+    const auto [order, heapPushes] = sameTickRanks(kHorizon + 300);
+    EXPECT_EQ(order, kSameTickRanks);
+    EXPECT_EQ(heapPushes, 8u);
+}
+
+TEST(OrderKey, SameTickRanksWhenHeapEntriesMeetDirectInserts)
+{
+    // Window A's six events take the heap; by tick 150 the target is
+    // inside the horizon, so window B's two go straight to the wheel,
+    // behind the six pulled out of the heap.
+    const auto [order, heapPushes] = sameTickRanks(kHorizon + 100);
+    EXPECT_EQ(order, kSameTickRanks);
+    EXPECT_EQ(heapPushes, 6u);
+}
+
+TEST(OrderKey, BoundedRunClosesTheWindow)
+{
+    // The window opened at tick 0 would run to 99, but run(10) ends it:
+    // a schedule() made after the bounded run ranks after the post, as
+    // if a barrier had delivered the post when the run returned.
+    PostLog q(100);
+    q.eq.schedule(0, [&q] { q.post(300, 1, 1); });
+    q.eq.run(10);
+    EXPECT_EQ(q.eq.windows(), 1u);
+    q.at(300, 2);
+    q.eq.run();
+    EXPECT_EQ(q.order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(q.eq.windows(), 2u);
+}
+
+TEST(OrderKey, ArrivalRequeuesTheContinuationAtTheHookTick)
+{
+    // The hook pays the last leg: the continuation runs at the tick it
+    // returns, and the arrival itself counts as one executed event.
+    EventQueue eq;
+    eq.setTransport(10, nullptr,
+                    [](void *, Tick at, std::uint16_t dest,
+                       std::uint32_t bits) {
+                        return at + dest + bits;
+                    });
+    Tick ranAt = 0;
+    eq.post(100, 1, 5, 20, [&eq, &ranAt] { ranAt = eq.now(); });
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_EQ(ranAt, 125u);
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+/**
+ * Random schedule()/post() script, replayed on a queue. Event ids are
+ * handed out in execution order, and each event's choices depend only
+ * on (seed, id), so two queues that execute in the same order run the
+ * same script.
+ */
+class OrderScript
+{
+  public:
+    OrderScript(std::uint64_t seed, Tick lookahead)
+        : seed_(seed), lookahead_(lookahead)
+    {
+    }
+    virtual ~OrderScript() = default;
+
+    /** Drives the script to completion; returns the execution log
+     *  (id for a callback, ~id for a post's arrival). */
+    std::vector<std::uint32_t>
+    play()
+    {
+        std::uint64_t rng = mix(seed_);
+        for (int i = 0; i < 8; ++i)
+            spawn(rng);
+        Tick limit = 0;
+        while (!empty()) {
+            rng = mix(rng);
+            // Mostly short bounded runs, some far ones, then new work
+            // from outside the run, as a harness would add it.
+            limit += rng % 4 == 0 ? 1 + rng % (4 * kHorizon)
+                                  : 1 + rng % (3 * lookahead_);
+            run(limit);
+            for (unsigned k = static_cast<unsigned>(rng >> 40) % 3; k > 0;
+                 --k)
+                spawn(rng);
+        }
+        return log_;
+    }
+
+    std::uint64_t posts() const { return posts_; }
+
+  protected:
+    virtual Tick now() const = 0;
+    virtual bool empty() const = 0;
+    virtual void run(Tick until) = 0;
+    virtual void schedule(Tick when, std::uint32_t id) = 0;
+    virtual void post(Tick when, std::uint16_t lane, std::uint32_t id) = 0;
+
+    /** The event @p id ran: log it and spawn its children. */
+    void
+    fire(std::uint32_t id)
+    {
+        log_.push_back(id);
+        std::uint64_t rng = mix(seed_ ^ (std::uint64_t{id} << 20));
+        for (unsigned c = static_cast<unsigned>(rng % 3); c > 0; --c)
+            spawn(rng);
+    }
+
+    /** The post @p id arrived at @p at: log it; the continuation runs
+     *  0-2 ticks later. */
+    Tick
+    arrive(std::uint32_t id, Tick at)
+    {
+        log_.push_back(~id);
+        return at + mix(seed_ + id) % 3;
+    }
+
+  private:
+    static std::uint64_t
+    mix(std::uint64_t x)
+    {
+        x += 0x9e3779b97f4a7c15ULL;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return x ^ (x >> 31);
+    }
+
+    /** One schedule() or post() with delays that pile events onto the
+     *  same few ticks, window edges and the horizon edge. */
+    void
+    spawn(std::uint64_t &rng)
+    {
+        if (nextId_ >= kBudget)
+            return;
+        const std::uint32_t id = nextId_++;
+        rng = mix(rng);
+        const Tick L = lookahead_;
+        const Tick r = (rng >> 8) % 3;
+        if (rng % 5 < 3) {
+            static constexpr int kCases = 6;
+            Tick delay = 0;
+            switch ((rng >> 16) % kCases) {
+            case 0: delay = r; break;
+            case 1: delay = L - 1 + r; break;
+            case 2: delay = 2 * L + r; break;
+            case 3: delay = (rng >> 24) % (3 * L); break;
+            case 4: delay = kHorizon - 1 + r; break;
+            default: delay = kHorizon + (rng >> 24) % (2 * L); break;
+            }
+            schedule(now() + delay, id);
+        } else {
+            // A post lands at least a lookahead out, as Machine's do.
+            static constexpr int kCases = 5;
+            Tick delay = 0;
+            switch ((rng >> 16) % kCases) {
+            case 0: delay = r; break;
+            case 1: delay = L + r; break;
+            case 2: delay = (rng >> 24) % (3 * L); break;
+            case 3: delay = kHorizon - L - 1 + r; break;
+            default: delay = kHorizon + (rng >> 24) % L; break;
+            }
+            ++posts_;
+            post(now() + L + delay,
+                 static_cast<std::uint16_t>(1 + (rng >> 32) % 4), id);
+        }
+    }
+
+    static constexpr std::uint32_t kBudget = 1500;
+    const std::uint64_t seed_;
+    const Tick lookahead_;
+    std::uint32_t nextId_ = 0;
+    std::uint64_t posts_ = 0;
+    std::vector<std::uint32_t> log_;
+};
+
+/** The script on the event queue under test. */
+class QueueScript : public OrderScript
+{
+  public:
+    QueueScript(std::uint64_t seed, Tick lookahead)
+        : OrderScript(seed, lookahead)
+    {
+        eq.setTransport(lookahead, this,
+                        [](void *ctx, Tick at, std::uint16_t,
+                           std::uint32_t id) {
+                            return static_cast<QueueScript *>(ctx)->arrive(
+                                id, at);
+                        });
+    }
+
+    EventQueue eq;
+
+  protected:
+    Tick now() const override { return eq.now(); }
+    bool empty() const override { return eq.empty(); }
+    void run(Tick until) override { eq.run(until); }
+    void
+    schedule(Tick when, std::uint32_t id) override
+    {
+        eq.schedule(when, [this, id] { fire(id); });
+    }
+    void
+    post(Tick when, std::uint16_t lane, std::uint32_t id) override
+    {
+        eq.post(when, lane, 0, id, [this, id] { fire(id); });
+    }
+};
+
+/**
+ * Reference model of the window barrier the order key replaces. A
+ * (when, seq) priority queue stands in for a FIFO event queue; posts
+ * wait in an outbox, and at the end of each lookahead window (cut
+ * short by run()'s bound) they are scheduled in (arrival, lane, post
+ * order) order as wrapper events that run the hook and schedule the
+ * continuation at the tick it returns.
+ */
+class BarrierScript : public OrderScript
+{
+  public:
+    BarrierScript(std::uint64_t seed, Tick lookahead)
+        : OrderScript(seed, lookahead), lookahead_(lookahead)
+    {
+    }
+
+    std::uint64_t windows = 0;
+
+  protected:
+    Tick now() const override { return now_; }
+    bool empty() const override { return pq_.empty() && outbox_.empty(); }
+
+    void
+    run(Tick until) override
+    {
+        for (;;) {
+            drain();
+            if (pq_.empty() || pq_.top().when > until)
+                return;
+            const Tick limit =
+                std::min(pq_.top().when + lookahead_ - 1, until);
+            while (!pq_.empty() && pq_.top().when <= limit) {
+                const Item it = pq_.top();
+                pq_.pop();
+                now_ = it.when;
+                if (it.arrival)
+                    push(arrive(it.id, now_), it.id, false);
+                else
+                    fire(it.id);
+            }
+            ++windows;
+        }
+    }
+
+    void
+    schedule(Tick when, std::uint32_t id) override
+    {
+        push(when, id, false);
+    }
+
+    void
+    post(Tick when, std::uint16_t lane, std::uint32_t id) override
+    {
+        outbox_.push_back(Envelope{when, lane, outbox_.size(), id});
+    }
+
+  private:
+    struct Item
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t id;
+        bool arrival;
+        bool operator<(const Item &o) const
+        {
+            return when != o.when ? when > o.when : seq > o.seq;
+        }
+    };
+    struct Envelope
+    {
+        Tick when;
+        std::uint16_t lane;
+        std::uint64_t seq;
+        std::uint32_t id;
+    };
+
+    void
+    push(Tick when, std::uint32_t id, bool arrival)
+    {
+        pq_.push(Item{when, seq_++, id, arrival});
+    }
+
+    void
+    drain()
+    {
+        std::sort(outbox_.begin(), outbox_.end(),
+                  [](const Envelope &a, const Envelope &b) {
+                      if (a.when != b.when)
+                          return a.when < b.when;
+                      if (a.lane != b.lane)
+                          return a.lane < b.lane;
+                      return a.seq < b.seq;
+                  });
+        for (const Envelope &env : outbox_)
+            push(env.when, env.id, true);
+        outbox_.clear();
+    }
+
+    const Tick lookahead_;
+    Tick now_ = 0;
+    std::uint64_t seq_ = 0;
+    std::priority_queue<Item> pq_;
+    std::vector<Envelope> outbox_;
+};
+
+TEST(OrderKey, DifferentialAgainstTheWindowBarrier)
+{
+    const Tick lookaheads[] = {1, 2, 7, 100, 5000};
+    std::uint64_t heapPushes = 0;
+    std::uint64_t events = 0;
+    for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+        const Tick L = lookaheads[seed % 5];
+        QueueScript q(seed, L);
+        BarrierScript ref(seed, L);
+        const std::vector<std::uint32_t> got = q.play();
+        const std::vector<std::uint32_t> want = ref.play();
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        const auto diverge =
+            std::mismatch(got.begin(), got.end(), want.begin());
+        ASSERT_TRUE(diverge.first == got.end())
+            << "seed " << seed << " lookahead " << L
+            << ": first difference at position "
+            << (diverge.first - got.begin());
+        EXPECT_EQ(q.eq.windows(), ref.windows) << "seed " << seed;
+        EXPECT_EQ(q.eq.posts(), q.posts()) << "seed " << seed;
+        EXPECT_EQ(q.eq.executed(), got.size()) << "seed " << seed;
+        heapPushes += q.eq.heapPushes();
+        events += got.size();
+    }
+    // The scripts must reach both halves of the queue.
+    EXPECT_GT(events, 250u * 1000u);
+    EXPECT_GT(heapPushes, events / 20);
 }
 
 // -- Allocation-freedom ------------------------------------------------
@@ -513,7 +931,7 @@ TEST(TimingWheelAlloc, CoroutineResumeSchedulingIsAllocationFree)
         << "coroutine resume scheduling allocated";
 }
 
-// -- Machine::run() windows ---------------------------------------------
+// -- Machine::run() and order-key windows --------------------------------
 
 /** A machine whose window (cross-unit latency floor) is @p lookahead
  *  ticks: one crossbar cycle plus the link flight. */
@@ -540,7 +958,7 @@ TEST(MachineRun, StepsSeriallyThroughEveryEvent)
     EXPECT_EQ(fired, (std::vector<Tick>{5, 100, 100000}));
     EXPECT_EQ(m.eq().now(), 100000u);
     // {5, 100} share the window [5, 1004]; 100000 opens its own.
-    EXPECT_EQ(m.windows(), 2u);
+    EXPECT_EQ(m.eq().windows(), 2u);
 }
 
 TEST(MachineRun, WindowsCoverLookaheadAndStopAtHorizon)
@@ -549,13 +967,12 @@ TEST(MachineRun, WindowsCoverLookaheadAndStopAtHorizon)
     // opens the next, and the stragglers at 250 and 260 share a third.
     Machine m(windowedCfg(100));
     ASSERT_EQ(m.lookahead(), 100u);
-    ASSERT_TRUE(m.mailboxActive());
     std::vector<Tick> fired;
     for (Tick t : {Tick{0}, Tick{99}, Tick{100}, Tick{250}, Tick{260}})
         m.eq().schedule(t, [&fired, t] { fired.push_back(t); });
     m.run();
     EXPECT_EQ(fired, (std::vector<Tick>{0, 99, 100, 250, 260}));
-    EXPECT_EQ(m.windows(), 3u);
+    EXPECT_EQ(m.eq().windows(), 3u);
     EXPECT_EQ(m.eq().now(), 260u);
 }
 
@@ -578,19 +995,16 @@ TEST(MachineRun, BoundedRunLeavesLaterEventsQueued)
 
 TEST(MachineRun, ZeroLookaheadIsNotConstructible)
 {
-    // A zero window needs a zero-cycle crossbar, whose M/D/1 model
-    // rejects a zero service time. So every buildable machine runs the
-    // mailbox path, and run()'s tick-by-tick lockstep branch is
-    // unreachable; this pins that fact for whoever relaxes it.
+    // The cross-unit order key needs windows of at least one tick, so
+    // the constructor rejects a zero cross-unit floor.
     EXPECT_THROW(Machine m(windowedCfg(0)), std::logic_error);
     Machine smallest(windowedCfg(2));
     EXPECT_EQ(smallest.lookahead(), 2u);
-    EXPECT_TRUE(smallest.mailboxActive());
 }
 
-// -- Allocation-free mailbox barrier ------------------------------------
+// -- Allocation-free cross-unit posts ------------------------------------
 
-/** Message bouncing between units 0 and 1 through the mailbox. */
+/** Message bouncing between units 0 and 1. */
 struct Bouncer
 {
     Machine *m;
@@ -610,12 +1024,10 @@ bounce(Bouncer *b)
                       [b] { bounce(b); });
 }
 
-TEST(TimingWheelAlloc, MailboxBarrierIsAllocationFree)
+TEST(TimingWheelAlloc, CrossUnitPostIsAllocationFree)
 {
-    // Two units: every cross-unit message becomes a mailbox envelope
-    // drained at a window barrier.
+    // Two units: every message is a cross-unit post().
     Machine m(SystemConfig::make(Scheme::SynCron, 2, 1));
-    ASSERT_TRUE(m.mailboxActive());
 
     std::array<Bouncer, 32> bouncers;
     std::uint64_t remaining = 0;
@@ -630,11 +1042,10 @@ TEST(TimingWheelAlloc, MailboxBarrierIsAllocationFree)
         EXPECT_EQ(remaining, 0u);
     };
 
-    // Warm-up grows the outbox, gather buffer, in-flight table and
-    // node pool to working size.
+    // Warm-up grows the node pool to working size.
     round(20000);
-    const std::uint64_t windowsBefore = m.windows();
-    const std::uint64_t envelopesBefore = m.envelopes();
+    const std::uint64_t windowsBefore = m.eq().windows();
+    const std::uint64_t postsBefore = m.eq().posts();
 
     const std::uint64_t before =
         gAllocCount.load(std::memory_order_relaxed);
@@ -642,9 +1053,9 @@ TEST(TimingWheelAlloc, MailboxBarrierIsAllocationFree)
     const std::uint64_t after =
         gAllocCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
-        << "postMessage()/drainMailboxes() allocated in steady state";
-    EXPECT_EQ(m.envelopes() - envelopesBefore, 20000u);
-    EXPECT_GT(m.windows() - windowsBefore, 100u);
+        << "postMessage() allocated in steady state";
+    EXPECT_EQ(m.eq().posts() - postsBefore, 20000u);
+    EXPECT_GT(m.eq().windows() - windowsBefore, 100u);
 }
 
 } // namespace

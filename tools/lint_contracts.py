@@ -39,6 +39,17 @@ seconds and are wired into CI ahead of the build:
                        spell out the `& 0x7f` / `| 0x80` byte loop.
                        Tests are exempt (they build raw varints by hand
                        to forge corrupt inputs).
+  8. post-scope        Cross-unit messages enter the event queue only
+                       through Machine::postMessage, which pays the
+                       source crossbar and link and derives the lane
+                       from the source unit. EventQueue::post() and the
+                       transport-hook setter (setTransport) appear only
+                       in src/sim/event_queue.* and
+                       src/system/machine.cc, so nothing skips the
+                       destination crossbar or forges a lane. A post()
+                       call is recognised by its event-queue receiver
+                       (eq, eq_, eq(), *Eq), which keeps the semaphore
+                       post() out of scope. Tests are exempt.
 
 Usage:
   lint_contracts.py [--root DIR]   lint the tree, exit 1 on violations
@@ -64,6 +75,9 @@ PERSIST_CALL_RE = re.compile(r"(\.|->)\s*persist[A-Z]\w*\s*\(")
 PERSIST_HOOK_RE = re.compile(r"\bPersistHook\b")
 VARINT_BITS_RE = re.compile(r"[&|]\s*0x(7f|80)\b", re.IGNORECASE)
 VARINT_DEF_RE = re.compile(r"\b(\w*Varint)\s*\([^()]*\)\s*(const\s*)?\{")
+QUEUE_POST_RE = re.compile(
+    r"\b((eq|\w*Eq)_?(\(\))?\s*(\.|->)\s*post|EventQueue::post)\s*\(")
+SET_TRANSPORT_RE = re.compile(r"\bsetTransport\s*\(")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once", re.MULTILINE)
 RELATIVE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"\.\./', re.MULTILINE)
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)", re.MULTILINE)
@@ -88,6 +102,13 @@ VARINT_HOME = "src/trace/varint.hh"
 # Directory prefixes where the persist hooks legitimately live: the
 # durability subsystem defines them, the SynCron engine invokes them.
 PERSIST_SCOPE_ALLOW_PREFIXES = ("src/durability/", "src/syncron/")
+# The event queue defines post() and its transport hook; Machine is the
+# one caller (postMessage() and the hook that pays the last leg).
+POST_SCOPE_ALLOW = {
+    "src/sim/event_queue.hh",
+    "src/sim/event_queue.cc",
+    "src/system/machine.cc",
+}
 
 
 def code_files(root):
@@ -172,6 +193,18 @@ def lint_tree(root):
                        "codec for every container" % (m.group(1),
                                                       VARINT_HOME))
 
+        if not rel.startswith("tests/") and rel not in POST_SCOPE_ALLOW:
+            for m in QUEUE_POST_RE.finditer(text):
+                report(rel, line_of(text, m), "post-scope",
+                       "EventQueue::post() outside the queue and "
+                       "Machine - send through Machine::postMessage so "
+                       "the destination crossbar is paid and the lane "
+                       "is the source unit's")
+            for m in SET_TRANSPORT_RE.finditer(text):
+                report(rel, line_of(text, m), "post-scope",
+                       "transport hook installed outside Machine - one "
+                       "hook per queue, set by Machine's constructor")
+
         if rel.startswith("src/") and rel.endswith(".hh"):
             m = PRAGMA_ONCE_RE.search(text)
             if m:
@@ -214,6 +247,10 @@ FIXTURES = [
      "}\n"),
     ("persist-scope", "src/fixture.cc",
      "void f(durability::PersistHook &h) { h.persistCounter(0, 0); }\n"),
+    ("post-scope", "src/fixture.cc",
+     "void f(sim::EventQueue &eq) {\n"
+     "    eq.setTransport(1, nullptr, hook);\n"
+     "    eq.post(9, 1, 0, 64, [] {});\n}\n"),
 ]
 
 
